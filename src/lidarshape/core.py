@@ -126,7 +126,7 @@ class Histogram1D:
         m = np.asarray(self.mass, dtype=np.float64)
         if m.ndim != 1 or m.shape[0] < 1:
             raise ValueError("mass must be a 1-D array with at least one bin")
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
+        if (m < 0).any() or not np.isfinite(m).all():
             raise ValueError("histogram mass must be finite and non-negative")
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
@@ -166,6 +166,15 @@ class Histogram1D:
         return Histogram1D(lo, hi, np.zeros(int(bins)))
 
     @staticmethod
+    def bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+        """Bin of each value as int64; out-of-range values clamp to the edge bins."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        width = (hi - lo) / bins
+        idx = np.floor((values - lo) / width).astype(np.int64)
+        np.clip(idx, 0, bins - 1, out=idx)
+        return idx
+
+    @staticmethod
     def from_values(
         values: np.ndarray,
         lo: float,
@@ -175,11 +184,8 @@ class Histogram1D:
         normalize: bool = True,
     ) -> "Histogram1D":
         """Vote values (optionally weighted) into clamped bins."""
-        values = np.asarray(values, dtype=np.float64).ravel()
         bins = int(bins)
-        width = (hi - lo) / bins
-        idx = np.floor((values - lo) / width).astype(np.int64)
-        np.clip(idx, 0, bins - 1, out=idx)
+        idx = Histogram1D.bin_indices(values, lo, hi, bins)
         mass = np.bincount(idx, weights=weights, minlength=bins).astype(np.float64)
         h = Histogram1D(lo, hi, mass)
         return h.normalized() if normalize else h
@@ -295,16 +301,40 @@ def _is_float(token: str) -> bool:
         return False
 
 
+def _parse_xyz_lines(path, lines, start: int = 1, skip_blank: bool = True) -> np.ndarray:
+    """Rows of `x y z` text `lines`, the first of them numbered `start`.
+
+    Blank and `#` lines are skipped, or rejected when `skip_blank` is False.
+    One vectorized parse runs first; it is kept only when it gives three
+    columns and a row per line that must hold one. Otherwise every line is
+    parsed alone, so a ParseError names the first bad line. numpy accepts a
+    subset of the tokens `float` does and rounds them the same way.
+    """
+    # an all-blank input would make loadtxt warn; the loop below rejects it
+    if any(map(str.strip, lines)):
+        try:
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == 3 and (skip_blank or len(rows) == len(lines)):
+            return rows
+    parsed_rows = []
+    for line_no, line in enumerate(lines, start=start):
+        parsed = _parse_xyz_line(path, line_no, line)
+        if parsed is not None:
+            parsed_rows.append(parsed)
+        elif not skip_blank:
+            raise ParseError(path, line_no, "blank line inside vertex list")
+    return np.array(parsed_rows, dtype=np.float64)
+
+
 def _load_xyz(path: Path) -> np.ndarray:
-    rows = []
     with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parsed = _parse_xyz_line(path, line_no, line)
-            if parsed is not None:
-                rows.append(parsed)
-    if not rows:
+        # universal newlines make "\n" the only line end, as iterating `fh` would
+        rows = _parse_xyz_lines(path, fh.read().split("\n"))
+    if len(rows) == 0:
         raise ParseError(path, 1, "file contains no points")
-    return np.array(rows, dtype=np.float64)
+    return rows
 
 
 def _load_ply(path: Path) -> np.ndarray:
@@ -342,15 +372,11 @@ def _load_ply(path: Path) -> np.ndarray:
         raise ParseError(path, len(lines), "incomplete PLY header")
     if properties != ["x", "y", "z"]:
         raise ParseError(path, body_start, f"vertex properties must be x, y, z; got {properties}")
-    rows = []
-    for line_no in range(body_start + 1, body_start + 1 + n_vertex):
-        if line_no > len(lines):
-            raise ParseError(path, len(lines), f"expected {n_vertex} vertices, file ended early")
-        parsed = _parse_xyz_line(path, line_no, lines[line_no - 1])
-        if parsed is None:
-            raise ParseError(path, line_no, "blank line inside vertex list")
-        rows.append(parsed)
-    return np.array(rows, dtype=np.float64)
+    body = lines[body_start : body_start + max(n_vertex, 0)]
+    rows = _parse_xyz_lines(path, body, start=body_start + 1, skip_blank=False)
+    if len(body) < n_vertex:
+        raise ParseError(path, len(lines), f"expected {n_vertex} vertices, file ended early")
+    return rows
 
 
 def load_cloud(path, format: Optional[str] = None, label: Optional[str] = None) -> PointCloud:

@@ -21,6 +21,9 @@ from .core import Histogram1D, PointCloud
 
 HEIGHT_BINS = 16
 HEIGHT_RANGE_MAX = 10.0  # meters; taller returns clamp into the top bin
+# width x height above this is refused before anything is sized by it: one
+# far outlier would otherwise ask the mask for ~1e8 cells at 1 m tiles
+MAX_GRID_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,22 @@ class TileFeature:
 def build_grid(scene: PointCloud, tile_size: float = 1.0) -> TileGrid:
     """Axis-aligned tile grid over the scene's xy extent; a point on a tile
     boundary belongs to the higher-index tile (floor convention)."""
-    if tile_size <= 0:
+    if not tile_size > 0:
         raise ValueError(f"tile_size must be positive, got {tile_size}")
     pts = scene.points
     ox, oy = float(pts[:, 0].min()), float(pts[:, 1].min())
+    # the last tile on each axis holds the max coordinate; found before any
+    # per-point int cast, which a far outlier could overflow
+    extent = np.array([pts[:, 0].max() - ox, pts[:, 1].max() - oy])
+    width, height = (np.floor(extent / tile_size) + 1).tolist()
+    if width * height > MAX_GRID_CELLS:
+        raise ValueError(
+            f"scene extent {extent[0]:.9g} x {extent[1]:.9g} at tile size {tile_size:g} "
+            f"needs {width:.9g} x {height:.9g} tiles, more than {MAX_GRID_CELLS} cells"
+        )
+    width, height = int(width), int(height)
     ix = np.floor((pts[:, 0] - ox) / tile_size).astype(np.int64)
     iy = np.floor((pts[:, 1] - oy) / tile_size).astype(np.int64)
-    width = int(ix.max()) + 1
-    height = int(iy.max()) + 1
     order = np.lexsort((iy, ix))
     cells: Dict[Tuple[int, int], np.ndarray] = {}
     sorted_ix, sorted_iy = ix[order], iy[order]
@@ -103,23 +114,46 @@ def build_grid(scene: PointCloud, tile_size: float = 1.0) -> TileGrid:
 def tile_features(grid: TileGrid, scene: PointCloud) -> Dict[Tuple[int, int], TileFeature]:
     """Per-tile features for every occupied tile (empty tiles read as
     TileFeature.empty()). Ground estimate is the tile's 5th percentile z;
-    heights are relative to it."""
-    out: Dict[Tuple[int, int], TileFeature] = {}
+    heights are relative to it.
+
+    All tiles are computed together: one sort by (tile, z) puts each tile's
+    heights in a sorted segment, and one bincount over (tile, bin) gives
+    every height histogram.
+    """
+    if not grid.cells:
+        return {}
+    counts = np.array([idx.shape[0] for idx in grid.cells.values()])
+    n_tiles = counts.shape[0]
+    tile_ids = np.repeat(np.arange(n_tiles), counts)
+    z = scene.points[np.concatenate(list(grid.cells.values())), 2]
+    z = z[np.lexsort((z, tile_ids))]  # tile_ids is nondecreasing, so it stays aligned
+    starts = np.cumsum(counts) - counts
+    # np.percentile over a (tiles, n) block of equal-size tiles gives each
+    # tile the bits a call on that tile alone would
+    ground = np.empty(n_tiles)
+    by_count = np.argsort(counts, kind="stable")
+    sizes, first = np.unique(counts[by_count], return_index=True)
+    for n, sel in zip(sizes, np.split(by_count, first[1:])):
+        ground[sel] = np.percentile(z[starts[sel, None] + np.arange(n)], 5, axis=1)
+    heights = z - np.repeat(ground, counts)
+    bins = Histogram1D.bin_indices(heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS)
+    mass = np.bincount(
+        tile_ids * HEIGHT_BINS + bins, minlength=n_tiles * HEIGHT_BINS
+    ).reshape(-1, HEIGHT_BINS) / counts[:, None]
+    # z is sorted within each tile, so its ends hold the extreme heights
+    max_height = heights[starts + counts - 1].tolist()
+    min_height = heights[starts].tolist()
     area = grid.tile_size**2
-    for tile, idx in grid.cells.items():
-        z = scene.points[idx, 2]
-        ground = float(np.percentile(z, 5))
-        heights = z - ground
-        out[tile] = TileFeature(
-            point_count=int(idx.shape[0]),
-            max_height=float(heights.max()),
-            min_height=float(heights.min()),
-            height_histogram=Histogram1D.from_values(
-                heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS
-            ),
-            density=idx.shape[0] / area,
+    return {
+        tile: TileFeature(
+            point_count=n,
+            max_height=max_height[i],
+            min_height=min_height[i],
+            height_histogram=Histogram1D(0.0, HEIGHT_RANGE_MAX, mass[i]),
+            density=n / area,
         )
-    return out
+        for i, (tile, n) in enumerate(zip(grid.cells, counts.tolist()))
+    }
 
 
 def basic_filter(
@@ -218,10 +252,10 @@ def write_roi_pgm(grid: TileGrid, stages: Dict[Tuple[int, int], str], path) -> N
     """Occupancy/ROI mask: brighter means the tile survived further
     (empty 0, occupied 85, basic 170, refined 255). Row 0 is tile_y 0."""
     levels = {"occupied": 85, "basic": 170, "refined": 255}
-    img = np.zeros((grid.height, grid.width), dtype=np.int64)
+    img = np.zeros((grid.height, grid.width), dtype=np.uint8)
     for tile, stage in stages.items():
         img[tile[1], tile[0]] = levels[stage]
     with open(path, "w") as fh:
         fh.write(f"P2\n{grid.width} {grid.height}\n255\n")
-        for row in img:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        for row in img.tolist():
+            fh.write(" ".join(map(str, row)) + "\n")

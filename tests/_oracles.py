@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: the point is to check
-the closed-form implementations against brute force.
+the closed-form implementations against brute force. The loop references
+(`tile_features_per_tile`, `load_xyz_line_by_line`) are the plain per-item
+versions that the vectorized library code must match bit for bit.
 """
 
 import itertools
@@ -43,3 +45,42 @@ def brute_force_histogram(points, kind, lo, hi, bins):
         idx = min(max(int(np.floor((v - lo) / width)), 0), bins - 1)
         mass[idx] += 1.0
     return mass / mass.sum()
+
+
+def tile_features_per_tile(grid, scene):
+    """ROI tile features computed one tile at a time, as a plain loop."""
+    from lidarshape.core import Histogram1D
+    from lidarshape.roi import HEIGHT_BINS, HEIGHT_RANGE_MAX, TileFeature
+
+    out = {}
+    area = grid.tile_size**2
+    for tile, idx in grid.cells.items():
+        z = scene.points[idx, 2]
+        ground = float(np.percentile(z, 5))
+        heights = z - ground
+        out[tile] = TileFeature(
+            point_count=int(idx.shape[0]),
+            max_height=float(heights.max()),
+            min_height=float(heights.min()),
+            height_histogram=Histogram1D.from_values(
+                heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS
+            ),
+            density=idx.shape[0] / area,
+        )
+    return out
+
+
+def load_xyz_line_by_line(path):
+    """xyz-ascii rows parsed one line at a time, with the loader's own line
+    parser, so errors carry the same line and message."""
+    from lidarshape.core import ParseError, _parse_xyz_line
+
+    rows = []
+    with open(path, "r") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parsed = _parse_xyz_line(path, line_no, line)
+            if parsed is not None:
+                rows.append(parsed)
+    if not rows:
+        raise ParseError(path, 1, "file contains no points")
+    return np.array(rows, dtype=np.float64)

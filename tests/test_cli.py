@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,23 @@ def test_roi_refine_k(tmp_path):
     lines = (out / "roi.csv").read_text().splitlines()[1:]
     refined = [line for line in lines if line.endswith("refined")]
     assert len(refined) == 2
+
+
+def test_roi_far_outlier_exits_2_without_allocating_the_grid(tmp_path, capsys):
+    # ~1e4 tiles apart on both axes: ~1e8 cells, about 800 MB as an int64 mask
+    scene_path = tmp_path / "outlier.xyz"
+    scene_path.write_text("0 0 0\n0.5 0.5 1\n10000.2 9999.7 0.5\n")
+    out = tmp_path / "roi"
+    tracemalloc.start()
+    try:
+        code = main(["roi", str(scene_path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "10001 x 10000 tiles" in capsys.readouterr().err
+    assert peak < 10_000_000
+    assert not (out / "mask.pgm").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarshape.core import (
     AABB,
@@ -15,7 +18,7 @@ from lidarshape.core import (
     save_cloud,
 )
 
-from _oracles import emd_lp
+from _oracles import emd_lp, load_xyz_line_by_line
 
 
 def random_cloud(rng, n=50, scale=5.0):
@@ -98,6 +101,91 @@ def test_load_xyz_bad_token_reports_line(tmp_path):
     assert "oops" in str(exc.value)
 
 
+def _load_outcome(load):
+    """The loaded points' shape and bytes, or the error's type, text and line;
+    any warning counts as a failure."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = load()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_no", None)
+    return "ok", pts.shape, pts.tobytes()
+
+
+def assert_xyz_matches_line_by_line(path):
+    new = _load_outcome(lambda: load_cloud(path).points)
+    old = _load_outcome(lambda: PointCloud(load_xyz_line_by_line(path)).points)
+    assert new == old
+    return new
+
+
+XYZ_CASES = {
+    "crlf": b"0 1 2\r\n3.5 -4 5e-3\r\n",
+    "cr_only": b"0 1 2\r3 4 5\r",
+    "tabs": b"0\t1\t2\n\t3 4\t5\t\n",
+    "blank_lines_between_rows": b"0 1 2\n\n   \n3 4 5\n\n",
+    "single_row": b"1.25 -2.5 3.75",
+    "comment_line": b"# scanner A\n0 1 2\n3 4 5\n",
+    "underscore_token": b"1_0 2 3\n4 5 6\n",
+    "four_columns_at_line_3": b"0 1 2\n3 4 5\n6 7 8 9\n10 11 12\n",
+    "all_rows_four_columns": b"0 1 2 3\n4 5 6 7\n",
+    "bad_token_at_line_2": b"0 1 2\n1 oops 3\n",
+    "nan_token": b"0 1 2\nnan 4 5\n",
+    "empty": b"",
+    "only_blank_lines": b"\n  \n\t\n",
+    "only_comments": b"# nothing here\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(XYZ_CASES))
+def test_load_xyz_matches_line_by_line(tmp_path, name):
+    p = tmp_path / f"{name}.xyz"
+    p.write_bytes(XYZ_CASES[name])
+    assert_xyz_matches_line_by_line(p)
+
+
+def test_load_xyz_error_cases(tmp_path):
+    def outcome(name):
+        p = tmp_path / f"{name}.xyz"
+        p.write_bytes(XYZ_CASES[name])
+        return assert_xyz_matches_line_by_line(p)
+
+    kind, message, line_no = outcome("four_columns_at_line_3")
+    assert (kind, line_no) == ("ParseError", 3)
+    assert "expected 3 fields, got 4" in message
+    assert outcome("nan_token")[:2] == ("ValueError", "point cloud contains non-finite coordinates")
+    kind, message, line_no = outcome("empty")  # and no numpy "no data" warning
+    assert (kind, line_no) == ("ParseError", 1)
+    assert message.endswith(":1: file contains no points")
+    assert outcome("underscore_token")[0] == "ok"  # float() takes "1_0", loadtxt does not
+
+
+_xyz_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", "1e400", "nan", "inf", "1_0", "0x10", "1,5", "oops", "#", "\u0663"]),
+)
+_xyz_lines = st.one_of(
+    st.lists(_xyz_tokens, min_size=3, max_size=3),
+    st.lists(_xyz_tokens, min_size=0, max_size=5),
+).flatmap(
+    lambda toks: st.sampled_from([" ", "\t", "  ", "\x0c"]).map(lambda sep: sep.join(toks))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(_xyz_lines, min_size=0, max_size=12),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+)
+def test_load_xyz_matches_line_by_line_on_generated_text(tmp_path_factory, lines, newline, final_newline):
+    p = tmp_path_factory.mktemp("xyz") / "gen.xyz"
+    p.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+    assert_xyz_matches_line_by_line(p)
+
+
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_cloud("/nonexistent/cloud.xyz")
@@ -136,6 +224,41 @@ def test_load_ply_subset(tmp_path):
     cloud = load_cloud(p)
     assert len(cloud) == 2
     assert cloud.points[1, 0] == 1.5
+
+
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\ncomment made by hand\n"
+    "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+    "end_header\n"
+)  # 8 lines: vertex k sits on line 8 + k
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        ("0 0 0\n1 oops 2\n3 4 5\n", 10, "not a number: 'oops'"),
+        ("0 0 0\n\n3 4 5\n", 10, "blank line inside vertex list"),
+        ("0 0 0\n# note\n3 4 5\n", 10, "blank line inside vertex list"),
+        ("0 0 0\n1 2 3\n4 5 6 7\n", 11, "expected 3 fields, got 4"),
+        ("0 0 0\n1 2 3\n", 10, "expected 3 vertices, file ended early"),
+        ("0 0 0\n\n", 10, "blank line inside vertex list"),
+    ],
+)
+def test_load_ply_body_errors_keep_line_numbers(tmp_path, body, line_no, message):
+    p = tmp_path / "v.ply"
+    p.write_text(PLY_HEADER + body)
+    with pytest.raises(ParseError) as exc:
+        load_cloud(p)
+    assert exc.value.line_no == line_no
+    assert message in str(exc.value)
+
+
+def test_load_ply_ignores_lines_after_the_vertices(tmp_path):
+    p = tmp_path / "v.ply"
+    p.write_text(PLY_HEADER + "0 0 0\r\n1 2 3\n4 5 6\nnot a vertex\n")
+    assert load_cloud(p).points.tobytes() == np.array(
+        [[0, 0, 0], [1, 2, 3], [4, 5, 6]], dtype=np.float64
+    ).tobytes()
 
 
 def test_load_ply_rejects_extra_properties(tmp_path):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarshape.core import PointCloud
 from lidarshape.roi import (
+    HEIGHT_RANGE_MAX,
+    MAX_GRID_CELLS,
     ClassModel,
     TileFeature,
     basic_filter,
@@ -14,6 +19,8 @@ from lidarshape.roi import (
     write_roi_pgm,
 )
 from lidarshape.synth import make_scene
+
+from _oracles import tile_features_per_tile
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +58,28 @@ def test_point_conservation_random_scene():
             assert grid.tile_of(pts[i, 0], pts[i, 1]) == tile
 
 
+@pytest.mark.parametrize("tile_size", [0.0, -1.0, float("nan")])
+def test_tile_size_must_be_positive(tile_size):
+    with pytest.raises(ValueError, match="tile_size must be positive"):
+        build_grid(PointCloud(np.zeros((2, 3))), tile_size=tile_size)
+
+
+@pytest.mark.parametrize("far", [1e4, 1e20, 1e307])
+def test_grid_larger_than_cap_is_refused(far):
+    pts = np.array([[0.0, 0.0, 0.0], [far, far, 1.0]])
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_CELLS}"):
+        build_grid(PointCloud(pts), tile_size=1.0)
+
+
+def test_grid_at_cap_is_built():
+    # 5000 x 10000 tiles is exactly the cap; only the two corner tiles are occupied
+    side = MAX_GRID_CELLS // 10_000
+    pts = np.array([[0.0, 0.0, 0.0], [side - 0.5, 9_999.5, 1.0]])
+    grid = build_grid(PointCloud(pts), tile_size=1.0)
+    assert (grid.width, grid.height) == (side, 10_000)
+    assert grid.occupied() == [(0, 0), (side - 1, 9_999)]
+
+
 # ---------------------------------------------------------------------------
 # tile_features
 # ---------------------------------------------------------------------------
@@ -82,6 +111,56 @@ def test_vertical_pole_feature():
     assert feat.max_height == pytest.approx(5.0, abs=0.3)
     occupied_bins = np.nonzero(feat.height_histogram.mass)[0]
     assert occupied_bins.max() >= 7  # mass spread up to ~5 m (bin width 0.625)
+
+
+def assert_features_bitwise_equal(grid, scene):
+    got = tile_features(grid, scene)
+    want = tile_features_per_tile(grid, scene)
+    assert list(got) == list(want)
+    for tile, w in want.items():
+        g = got[tile]
+        assert g.point_count == w.point_count
+        assert g.max_height == w.max_height
+        assert g.min_height == w.min_height
+        assert g.density == w.density
+        assert g.height_histogram.mass.tobytes() == w.height_histogram.mass.tobytes()
+
+
+def test_tile_features_match_per_tile_loop_on_edge_cases():
+    rng = np.random.default_rng(47)
+    pts = np.vstack(
+        [
+            [[-3.2, -7.9, 0.4]],  # a lone point
+            [[5.1, 5.1, 2.0]] * 6,  # all-equal z
+            np.column_stack(  # tall tile, most heights above the histogram range
+                [rng.uniform(1.0, 1.4, 40), rng.uniform(-2.0, -1.6, 40), rng.uniform(0, 35, 40)]
+            ),
+            rng.uniform(-9, 9, size=(300, 3)),  # negative coordinates, mixed counts
+        ]
+    )
+    scene = PointCloud(pts)
+    for tile_size in (1.0, 0.37, 2.5):
+        assert_features_bitwise_equal(build_grid(scene, tile_size), scene)
+
+
+_coords = st.one_of(
+    st.floats(-30.0, 30.0), st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+)
+_heights = st.one_of(
+    st.floats(-5.0, 3.0 * HEIGHT_RANGE_MAX), st.sampled_from([0.0, 1.5, 12.0])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xy=arrays(np.float64, st.tuples(st.integers(1, 150), st.just(2)), elements=_coords),
+    tile_size=st.sampled_from([1.0, 0.37, 2.5, 7.0]),
+    data=st.data(),
+)
+def test_tile_features_match_per_tile_loop(xy, tile_size, data):
+    z = data.draw(arrays(np.float64, xy.shape[0], elements=_heights))
+    scene = PointCloud(np.column_stack([xy, z]))
+    assert_features_bitwise_equal(build_grid(scene, tile_size), scene)
 
 
 def test_density_times_area_is_count():
