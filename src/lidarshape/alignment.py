@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, emd_1d
 from .shapedist import SDConfig, exact_sd
@@ -176,6 +175,11 @@ class ICPConfig:
             raise ValueError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
 
 
+class DegenerateFitError(ValueError):
+    """The correspondences leave the 4-DOF fit undetermined (no planar
+    spread): a numerical failure of the alignment, not malformed input."""
+
+
 def _fit_4dof(src: np.ndarray, dst: np.ndarray) -> Transform4DOF:
     """Closed-form least-squares 4-DOF motion taking src onto dst:
     2-D Procrustes for the rotation, centroid difference for translation."""
@@ -186,7 +190,7 @@ def _fit_4dof(src: np.ndarray, dst: np.ndarray) -> Transform4DOF:
     num = float(np.sum(s[:, 0] * d[:, 1] - s[:, 1] * d[:, 0]))
     den = float(np.sum(s[:, 0] * d[:, 0] + s[:, 1] * d[:, 1]))
     if num == 0.0 and den == 0.0:
-        raise ValueError("degenerate correspondences: no planar spread")
+        raise DegenerateFitError("degenerate correspondences: no planar spread")
     theta = math.atan2(num, den)
     c, sn = math.cos(theta), math.sin(theta)
     tx = dc[0] - (c * sc[0] - sn * sc[1])
@@ -220,6 +224,8 @@ def icp_4dof_history(
     the start of every iteration (a non-increasing sequence)."""
     if len(source) < 3 or len(target) < 3:
         raise ValueError("ICP needs at least 3 points in source and target")
+    from scipy.spatial import cKDTree  # deferred: most commands never match points
+
     tol = cfg.rms_tol if cfg.rms_tol is not None else 1e-5 * target.bbox_diagonal()
     tree = cKDTree(target.points)
     total = Transform4DOF.identity()

@@ -15,7 +15,8 @@ explicit flags. All randomness derives from the single `seed` key: stages
 that need their own stream offset it by a fixed constant, so a rerun with
 the same seed and inputs is byte-identical.
 
-Exit codes: 0 success, 1 internal numerical error, 2 usage or input error.
+Exit codes: 0 success, 1 internal numerical error (such as ICP on objects
+with no planar spread), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -378,6 +379,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except alignment.DegenerateFitError as exc:  # a ValueError, but numerical
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

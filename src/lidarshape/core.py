@@ -357,7 +357,14 @@ def _load_ply(path: Path) -> np.ndarray:
             fields = line.split()
             if len(fields) != 3 or fields[1] != "vertex":
                 raise ParseError(path, i, f"only 'element vertex' is supported: {line!r}")
-            n_vertex = int(fields[2])
+            try:
+                n_vertex = int(fields[2])
+            except ValueError:
+                n_vertex = -1
+            if n_vertex < 0:
+                raise ParseError(
+                    path, i, f"vertex count must be a non-negative integer: {fields[2]!r}"
+                )
         elif line.startswith("property"):
             fields = line.split()
             if len(fields) != 3 or fields[1] not in ("float", "float32", "double", "float64"):
@@ -372,7 +379,7 @@ def _load_ply(path: Path) -> np.ndarray:
         raise ParseError(path, len(lines), "incomplete PLY header")
     if properties != ["x", "y", "z"]:
         raise ParseError(path, body_start, f"vertex properties must be x, y, z; got {properties}")
-    body = lines[body_start : body_start + max(n_vertex, 0)]
+    body = lines[body_start : body_start + n_vertex]
     rows = _parse_xyz_lines(path, body, start=body_start + 1, skip_blank=False)
     if len(body) < n_vertex:
         raise ParseError(path, len(lines), f"expected {n_vertex} vertices, file ended early")

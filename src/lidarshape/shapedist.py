@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import Histogram1D, PointCloud
 from .octree import OctreeNode, RepPoint, nodes_at_level
@@ -299,6 +298,8 @@ def _gaussian_bin_mass(
 
 def _window_votes(out, lo, width, bins, half, center, mu, sigma, weight, chunk=16384):
     """Accumulate votes whose support fits in `center +- half` bins."""
+    from scipy.special import ndtr  # deferred: only HSD voting needs it
+
     edge_off = np.arange(-half, half + 2)
     bin_off = np.arange(-half, half + 1)
     rows = max(1, chunk // (2 * half + 2))

@@ -6,6 +6,15 @@ over [-R, R]), with bilinear vote splitting. With the global +z axis the
 descriptor is invariant to planar translation, vertical translation, and
 rotation about z, which matches how upright street objects can move.
 
+All images are voted by one kernel over blocks of query points: each block
+holds about BLOCK_PAIRS (query, point) pairs, computes their offsets once,
+gives the pairs outside the radius (and each query's own entry) weight 0.0,
+and accumulates the four bilinear shares of every pair with one bincount.
+The result is bit for bit what a per-point loop with `np.add.at` gives. For
+the global +z axis, beta is dz and alpha is sqrt(dx^2 + dy^2), which is
+exactly rel @ e_z and |rel - beta e_z| in floating point, not only in value.
+`spin_image_at` runs the same kernel on a block of one point.
+
 Codebooks compress descriptors to 30 PCA coefficients, either over whole
 31x16 images (the default; most robust) or over 11x11 pixel patches (finer
 but noise-sensitive). Points are grouped into parts by k-means over their
@@ -14,7 +23,6 @@ codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,6 +32,8 @@ from .core import PointCloud
 
 SPIN_ROWS = 31  # beta axis, [-R, R]
 SPIN_COLS = 16  # alpha axis, [0, R]
+SPIN_CELLS = SPIN_ROWS * SPIN_COLS
+BLOCK_PAIRS = 2**14  # (query, point) pairs per spin-image array pass
 CODE_COUNT = 30
 PATCH_SIZE = 11
 WHOLE_IMAGE = "whole-image"
@@ -110,6 +120,126 @@ def _local_normal(points: np.ndarray, index: int, k_neighbors: int = 16) -> np.n
     return normal
 
 
+def _check_radius(cloud: PointCloud, support_radius: Optional[float]) -> float:
+    if support_radius is None:
+        support_radius = default_support_radius(cloud)
+    if not support_radius > 0:
+        raise ValueError(f"support_radius must be positive, got {support_radius}")
+    return support_radius
+
+
+def _spin_axes(points: np.ndarray, idx: np.ndarray, axis_mode: str) -> Optional[np.ndarray]:
+    """Per-query spin axes, (b, 3); None stands for the global +z axis."""
+    if axis_mode == GLOBAL_Z:
+        return None
+    if axis_mode == LOCAL_NORMAL:
+        return np.stack([_local_normal(points, int(i)) for i in idx])
+    raise ValueError(f"unknown axis_mode {axis_mode!r}")
+
+
+class _BlockVoter:
+    """Votes the spin images of up to `block` query points per array pass.
+
+    Every (query, point) pair of a block votes; pairs outside the support
+    radius and each query's own entry vote weight 0.0, which leaves a
+    non-negative cell's bits unchanged. The four bilinear shares go through
+    one bincount in the order 00, 01, 10, 11, so each cell sums its votes in
+    the same order as four successive `np.add.at` passes over the neighbors.
+
+    The (block, n) pair buffers are allocated once and reused by every
+    block: fresh temporaries per block would grow and trim the heap on each
+    pass, and those page faults cost about as much as the arithmetic.
+    """
+
+    def __init__(self, points: np.ndarray, support_radius: float, block: int):
+        n = points.shape[0]
+        self.xyz = np.ascontiguousarray(points.T)
+        self.radius = support_radius
+        self.base = (np.arange(block) * SPIN_CELLS)[:, None]
+        self.real = np.empty((8, block, n))
+        self.ints = np.empty((4, block, n), dtype=np.int64)
+        self.masks = np.empty((2, block, n), dtype=bool)
+        self.keys = np.empty(4 * block * n, dtype=np.int64)
+        self.weights = np.empty(4 * block * n)
+
+    def grids(self, idx: np.ndarray, axes: Optional[np.ndarray]) -> np.ndarray:
+        """Normalized (b, 31, 16) grids of the queries `idx`; `axes` holds
+        their spin axes as (b, 3) rows, None for the global +z axis."""
+        b, n = idx.shape[0], self.xyz.shape[1]
+        dx, dy, dz, beta, u, v, tmp, wv0 = (a[:b] for a in self.real)
+        col0, col1, row0, row1 = (a[:b] for a in self.ints)
+        keep, drop = (a[:b] for a in self.masks)
+        keys = self.keys[: 4 * b * n].reshape(4, b, n)
+        weights = self.weights[: 4 * b * n].reshape(4, b, n)
+        radius = self.radius
+
+        # coordinates far apart may overflow to inf (and, on a tilted axis, to
+        # nan); such pairs lie outside the radius and are masked out below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, d in zip(self.xyz, (dx, dy, dz)):
+                np.subtract(c[None, :], c[idx, None], out=d)
+            # |rel| summed as np.linalg.norm sums it: (dx^2 + dy^2) + dz^2
+            np.multiply(dx, dx, out=u)
+            u += np.multiply(dy, dy, out=tmp)
+            np.add(u, np.multiply(dz, dz, out=tmp), out=tmp)
+            np.less_equal(np.sqrt(tmp, out=tmp), radius, out=keep)
+            if axes is None:
+                # exactly rel @ e_z and |rel - beta e_z| for the global +z axis
+                beta = dz
+                np.sqrt(u, out=u)
+            else:
+                ax, ay, az = (a[:, None] for a in axes.T)
+                np.multiply(dx, ax, out=beta)
+                beta += np.multiply(dy, ay, out=tmp)
+                beta += np.multiply(dz, az, out=tmp)
+                for d, a in ((dx, ax), (dy, ay), (dz, az)):
+                    d -= np.multiply(beta, a, out=tmp)  # the part normal to the axis
+                np.multiply(dx, dx, out=u)
+                u += np.multiply(dy, dy, out=tmp)
+                u += np.multiply(dz, dz, out=tmp)
+                np.sqrt(u, out=u)
+            # u = alpha / col_w - 0.5, v = (beta + R) / row_h - 0.5
+            u /= radius / SPIN_COLS
+            u -= 0.5
+            np.add(beta, radius, out=v)
+            v /= 2.0 * radius / SPIN_ROWS
+            v -= 0.5
+        keep[np.arange(b), idx] = False
+        np.logical_not(keep, out=drop)
+        # masked pairs vote at the origin cell, so no far value reaches the int cast
+        np.copyto(u, 0.0, where=drop)
+        np.copyto(v, 0.0, where=drop)
+
+        # u, v become the fractional parts fu, fv (0.0 on masked pairs)
+        for w, lo in ((u, col0), (v, row0)):
+            np.floor(w, out=tmp)
+            np.copyto(lo, tmp, casting="unsafe")
+            w -= tmp
+        np.subtract(1.0, v, out=wv0)
+        np.copyto(wv0, 0.0, where=drop)
+        wu0 = np.subtract(1.0, u, out=tmp)
+
+        np.add(col0, 1, out=col1)
+        np.add(row0, 1, out=row1)
+        for col in (col0, col1):
+            np.clip(col, 0, SPIN_COLS - 1, out=col)
+        for row in (row0, row1):
+            np.clip(row, 0, SPIN_ROWS - 1, out=row)
+            row *= SPIN_COLS
+            row += self.base[:b]
+        for k, (row, wv) in enumerate(((row0, wv0), (row1, v))):
+            for m, (col, wu) in enumerate(((col0, wu0), (col1, u))):
+                np.add(row, col, out=keys[2 * k + m])
+                np.multiply(wv, wu, out=weights[2 * k + m])
+        grids = np.bincount(keys.ravel(), weights.ravel(), minlength=b * SPIN_CELLS)
+        grids = grids.reshape(b, SPIN_ROWS, SPIN_COLS)
+
+        # per-image sums over the contiguous 31x16 grid, as grid.sum() adds them
+        mass = np.array([g.sum() for g in grids])[:, None, None]
+        np.divide(grids, mass, out=grids, where=mass > 0)
+        return grids
+
+
 def spin_image_at(
     cloud: PointCloud,
     index: int,
@@ -118,44 +248,11 @@ def spin_image_at(
 ) -> SpinImage:
     """Spin image at one point: bilinear (alpha, beta) votes from every other
     point within the support radius, normalized to unit mass."""
-    if support_radius is None:
-        support_radius = default_support_radius(cloud)
-    if not support_radius > 0:
-        raise ValueError(f"support_radius must be positive, got {support_radius}")
+    support_radius = _check_radius(cloud, support_radius)
     pts = cloud.points
-    p = pts[index]
-    if axis_mode == GLOBAL_Z:
-        axis = np.array([0.0, 0.0, 1.0])
-    elif axis_mode == LOCAL_NORMAL:
-        axis = _local_normal(pts, index)
-    else:
-        raise ValueError(f"unknown axis_mode {axis_mode!r}")
-
-    rel = np.delete(pts, index, axis=0) - p
-    dist = np.linalg.norm(rel, axis=1)
-    rel = rel[dist <= support_radius]
-    grid = np.zeros((SPIN_ROWS, SPIN_COLS))
-    if rel.shape[0] == 0:
-        return SpinImage(grid, support_radius)
-
-    beta = rel @ axis
-    alpha = np.linalg.norm(rel - beta[:, None] * axis[None, :], axis=1)
-
-    col_w = support_radius / SPIN_COLS
-    row_h = 2.0 * support_radius / SPIN_ROWS
-    u = alpha / col_w - 0.5
-    v = (beta + support_radius) / row_h - 0.5
-    j0 = np.floor(u).astype(np.int64)
-    i0 = np.floor(v).astype(np.int64)
-    fu = u - j0
-    fv = v - i0
-    # split each vote over the 4 surrounding cells; off-grid shares clamp in
-    for di, wv in ((0, 1.0 - fv), (1, fv)):
-        for dj, wu in ((0, 1.0 - fu), (1, fu)):
-            rows = np.clip(i0 + di, 0, SPIN_ROWS - 1)
-            cols = np.clip(j0 + dj, 0, SPIN_COLS - 1)
-            np.add.at(grid, (rows, cols), wv * wu)
-    return SpinImage(grid / grid.sum(), support_radius)
+    idx = np.array([range(len(cloud))[index]])  # wraps negative, rejects out-of-range
+    voter = _BlockVoter(pts, support_radius, 1)
+    return SpinImage(voter.grids(idx, _spin_axes(pts, idx, axis_mode))[0], support_radius)
 
 
 def spin_images(
@@ -163,9 +260,18 @@ def spin_images(
     axis_mode: str = GLOBAL_Z,
     support_radius: Optional[float] = None,
 ) -> List[SpinImage]:
-    if support_radius is None:
-        support_radius = default_support_radius(cloud)
-    return [spin_image_at(cloud, i, axis_mode, support_radius) for i in range(len(cloud))]
+    """Spin images at every point, about BLOCK_PAIRS (query, point) pairs
+    per array pass."""
+    support_radius = _check_radius(cloud, support_radius)
+    pts = cloud.points
+    n = len(cloud)
+    block = max(1, BLOCK_PAIRS // n)
+    voter = _BlockVoter(pts, support_radius, block)
+    grids = np.empty((n, SPIN_ROWS, SPIN_COLS))
+    for start in range(0, n, block):
+        idx = np.arange(start, min(start + block, n))
+        grids[start : start + block] = voter.grids(idx, _spin_axes(pts, idx, axis_mode))
+    return [SpinImage(g, support_radius) for g in grids]
 
 
 # ---------------------------------------------------------------------------

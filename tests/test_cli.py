@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidarshape
 from lidarshape.cli import RunConfig, main
 from lidarshape.core import PointCloud, save_cloud
 from lidarshape.synth import make_object, make_scene
@@ -101,6 +106,18 @@ def test_features_missing_file(tmp_path, capsys):
     code = main(["features", str(tmp_path / "ghost.xyz"), "--out", str(out)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["abc", "-2"])
+def test_features_bad_ply_vertex_count_exits_2_naming_file_and_line(tmp_path, capsys, count):
+    path = tmp_path / "v.ply"
+    path.write_text(
+        f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
+    )
+    code = main(["features", str(path), "--out", str(tmp_path / "feat")])
+    assert code == 2
+    assert f"{path}:3: vertex count must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_features_manifest(tmp_path, manifest):
@@ -236,6 +253,18 @@ def test_align_structure_counts(tmp_path, manifest):
     assert len((out / "similarity.csv").read_text().splitlines()) == 1 + 4
 
 
+def test_align_degenerate_objects_exit_1(tmp_path, capsys):
+    # vertical lines: every point at one (x, y), so ICP has no rotation to fit
+    z = np.linspace(0.0, 2.0, 5)[:, None]
+    for name, xy in (("a.xyz", (0.0, 0.0)), ("b.xyz", (5.0, 5.0))):
+        save_cloud(PointCloud(np.hstack([np.tile(xy, (5, 1)), z])), tmp_path / name)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("a.xyz,pole\nb.xyz,pole\n")
+    code = main(["align", str(manifest), "--out", str(tmp_path / "align")])
+    assert code == 1
+    assert "internal error: degenerate correspondences" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -337,3 +366,17 @@ def test_synth_scene(tmp_path):
 
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # the child imports the same package this test process imported
+    src = str(Path(lidarshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, lidarshape.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "[]"

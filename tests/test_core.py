@@ -253,6 +253,17 @@ def test_load_ply_body_errors_keep_line_numbers(tmp_path, body, line_no, message
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("count", ["abc", "-2", "2.5"])
+def test_load_ply_rejects_bad_vertex_count(tmp_path, count):
+    p = tmp_path / "v.ply"
+    p.write_text(PLY_HEADER.replace("element vertex 3", f"element vertex {count}") + "0 0 0\n")
+    with pytest.raises(ParseError) as exc:
+        load_cloud(p)
+    assert exc.value.path == str(p)
+    assert exc.value.line_no == 4
+    assert f"vertex count must be a non-negative integer: {count!r}" in str(exc.value)
+
+
 def test_load_ply_ignores_lines_after_the_vertices(tmp_path):
     p = tmp_path / "v.ply"
     p.write_text(PLY_HEADER + "0 0 0\r\n1 2 3\n4 5 6\nnot a vertex\n")

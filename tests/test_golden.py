@@ -1,9 +1,10 @@
 """Golden CLI outputs: sha256 of every file written by a fixed-seed run.
 
-The digests were recorded from the code before the xyz reader and the ROI
-tile features were vectorized; any change to the bytes the CLI writes on
-these inputs fails here. If an output is changed on purpose, record the new
-digests in the same change and say why.
+The roi and features digests were recorded from the code before the xyz
+reader and the ROI tile features were vectorized, the spin digests from the
+per-point spin-image loop before it became a blocked kernel; any change to
+the bytes the CLI writes on these inputs fails here. If an output is
+changed on purpose, record the new digests in the same change and say why.
 """
 
 import hashlib
@@ -20,6 +21,14 @@ ROI_DIGESTS = {
 }
 FEATURES_DIGESTS = {
     "features_box.csv": "49a74d148a66fa85b262baed710ab2623aa7eab15d5ec8116d3efae7b8e58186",
+}
+
+SPIN_DIGESTS = {
+    "codebook.csv": "a26b4aff77b9252d72b70d1f7b596443669d3ccec20b6a7ffe684114a0f844b8",
+    "codes.csv": "6e03bb025ed16ca722bbc2e3ed7270577a126be871d23c8e409ae09f5ae1ff7e",
+    "labels.csv": "93b59252b25fcd9914449a93ae2bbcbdc951f01c88ea157a991d1c106a404800",
+    "spin_0000.pgm": "dfe96f5669b109630737487b4dbd7285bee3641928e329757547402e091ba2cc",
+    "spin_0001.pgm": "3d9c048b80d834b20113f2807bdbbd8a2bc3a92c196186d22bca2ce98a8db939",
 }
 
 
@@ -46,3 +55,13 @@ def test_features_outputs_match_golden(tmp_path):
     code = main(["features", str(tmp_path / "box.xyz"), "--out", str(out)])
     assert code == 0
     assert _digests(out) == FEATURES_DIGESTS
+
+
+def test_spin_outputs_match_golden(tmp_path):
+    cloud = make_object("lshape", 400, np.random.default_rng(4))
+    save_cloud(cloud, tmp_path / "lshape.xyz")
+    out = tmp_path / "spin"
+    argv = ["spin", str(tmp_path / "lshape.xyz"), "--train", "--dump-images", "2"]
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    assert _digests(out) == SPIN_DIGESTS

@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidarshape import spinimage
 from lidarshape.core import PointCloud, Transform4DOF, apply_transform
 from lidarshape.spinimage import (
     CODE_COUNT,
@@ -21,6 +25,8 @@ from lidarshape.spinimage import (
     train_codebook,
     write_spin_pgm,
 )
+
+from _oracles import spin_image_per_point
 
 
 def random_transform(rng):
@@ -91,6 +97,141 @@ def test_mass_conservation_with_bilinear_clamping():
     cloud = PointCloud(rng.uniform(-1, 1, size=(40, 3)))
     img = spin_image_at(cloud, 0, support_radius=3.0)
     assert img.grid.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# blocked kernel against the per-point oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise_oracle(cloud, support_radius=None):
+    """spin_images and spin_image_at give the oracle's grids bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # far points must not warn
+        images = spin_images(cloud, support_radius=support_radius)
+    assert len(images) == len(cloud)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the oracle's norm may overflow
+        expected = [spin_image_per_point(cloud, i, support_radius=support_radius)
+                    for i in range(len(cloud))]
+    for i, (img, want) in enumerate(zip(images, expected)):
+        assert img.grid.tobytes() == want.grid.tobytes(), i
+        assert img.support_radius == want.support_radius
+    for i in {0, len(cloud) // 2, len(cloud) - 1}:
+        at = spin_image_at(cloud, i, support_radius=support_radius)
+        assert at.grid.tobytes() == expected[i].grid.tobytes(), i
+
+
+# on, inside and outside the unit sphere around the first point
+AT_UNIT_RADIUS = [
+    [0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [0.6, 0.8, 0],
+    [0.5, 0.5, 0.5], [0, 0, 2],
+]
+
+
+@pytest.mark.parametrize(
+    "points, radius",
+    [
+        ([[0, 0, 0], [0, 0, 0], [1, 0.5, 0.2], [1, 0.5, 0.2], [0.3, -0.2, 0.9]], None),
+        ([[0, 0, 0], [0.1, 0, 0.05], [100, 0, 0]], 1.0),  # index 2 has no neighbor
+        ([[1.0, 2.0, 3.0]], 0.5),
+        ([[0, 0, 0], [0.3, 0.4, 0.5]], None),
+        ([[0, 0, 0], [0.3, 0.4, 0.5]], 0.1),
+        (AT_UNIT_RADIUS, 1.0),
+        ([[0, 0, 0], [0.1, 0, 0], [0, 0, 0.1], [0, 0, -0.1], [0.06, 0.08, 0]], 0.1),
+        # radius = |rel| as (dx^2 + dy^2) + dz^2 sums it, 1 ulp below the
+        # other order, and the other way round: the pair is in, then out
+        ([[0, 0, 0], [-0.6, 0.88, -0.27]], 1.0987720418721982),
+        ([[0, 0, 0], [0.96, 0.37, 0.3]], 1.0716809226630843),
+        ([[0, 0, 0], [0.5, 0, 0.2], [1e6, 0, 0], [0, 0, -1e150], [1e200, -1e200, 0],
+          [1e308, 0, 0], [-1e308, 0, 1e308]], 1.0),
+    ],
+    ids=["duplicates", "isolated", "one-point", "two-points", "two-points-apart",
+         "at-radius", "at-small-radius", "sum-order-in", "sum-order-out", "far"],
+)
+def test_spin_images_match_oracle_edge_cases(points, radius):
+    assert_bitwise_oracle(PointCloud(np.array(points, dtype=np.float64)), radius)
+
+
+@pytest.mark.parametrize("radius", [1e-3, None, 1e3])
+def test_spin_images_match_oracle_across_radii(radius):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, size=(60, 3))
+    pts[5] = pts[6]  # a duplicate
+    assert_bitwise_oracle(PointCloud(pts), radius)
+
+
+def test_spin_images_partial_last_block_matches_oracle():
+    n = 700
+    assert n % (spinimage.BLOCK_PAIRS // n) == 10  # 23 images per block, 10 in the last
+    cloud = PointCloud(np.random.default_rng(12).normal(size=(n, 3)))
+    images = spin_images(cloud)
+    for i in (0, 22, 23, 689, 690, 699):
+        assert images[i].grid.tobytes() == spin_image_per_point(cloud, i).grid.tobytes(), i
+
+
+def test_one_image_per_block_matches_oracle(monkeypatch):
+    # the block size spin_images uses for any cloud above BLOCK_PAIRS points
+    monkeypatch.setattr(spinimage, "BLOCK_PAIRS", 16)
+    rng = np.random.default_rng(13)
+    assert_bitwise_oracle(PointCloud(rng.uniform(-1, 1, size=(40, 3))), 0.8)
+
+
+def test_spin_image_at_above_block_pairs_matches_oracle():
+    # a full spin_images run at this size takes tens of seconds; spin_image_at
+    # runs the same kernel on a one-image block
+    n = spinimage.BLOCK_PAIRS + 3
+    pts = np.random.default_rng(14).uniform(-1, 1, size=(n, 3))
+    pts[-1] = pts[0]
+    cloud = PointCloud(pts)
+    for i in (0, 1, n // 2, n - 1):
+        at = spin_image_at(cloud, i, support_radius=0.3)
+        want = spin_image_per_point(cloud, i, support_radius=0.3)
+        assert at.grid.tobytes() == want.grid.tobytes(), i
+    assert spin_image_at(cloud, -1).grid.tobytes() == spin_image_at(cloud, n - 1).grid.tobytes()
+
+
+coords = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=25),
+    st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 10.0)),
+)
+def test_spin_images_match_oracle_property(points, radius):
+    cloud = PointCloud(np.array(points, dtype=np.float64))
+    if radius is None and not spinimage.default_support_radius(cloud) > 0:
+        radius = 1.0  # every point equal: the default radius is 0
+    assert_bitwise_oracle(cloud, radius)
+
+
+def test_local_normal_matches_oracle_to_tolerance():
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-1, 1, size=(80, 3))
+    pts[:, 2] *= 0.3
+    cloud = PointCloud(pts)
+    images = spin_images(cloud, axis_mode="local-normal", support_radius=0.9)
+    for i, img in enumerate(images):
+        want = spin_image_per_point(cloud, i, "local-normal", 0.9)
+        assert np.abs(img.grid - want.grid).max() <= 1e-12, i
+    at = spin_image_at(cloud, 7, axis_mode="local-normal", support_radius=0.9)
+    assert at.grid.tobytes() == images[7].grid.tobytes()
+
+
+def test_spin_images_reject_bad_axis_mode_and_radius():
+    cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
+    with pytest.raises(ValueError, match="axis_mode"):
+        spin_images(cloud, axis_mode="tilted")
+    with pytest.raises(ValueError, match="support_radius"):
+        spin_images(cloud, support_radius=0.0)
+    with pytest.raises(ValueError, match="support_radius"):
+        spin_images(PointCloud(np.array([[1.0, 2.0, 3.0]])))  # default radius 0
+    with pytest.raises(IndexError):
+        spin_image_at(cloud, 2)
 
 
 # ---------------------------------------------------------------------------
