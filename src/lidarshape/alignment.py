@@ -16,6 +16,9 @@ Alignment: trimmed point-to-point ICP restricted to the 4 permitted degrees
 of freedom, plus a divide-and-conquer group procedure that repeatedly merges
 the two closest object sets (single linkage over the precomputed similarity
 matrix), aligning the most similar cross-set object pair at each merge.
+Single linkage merges along the minimum spanning tree (Gower & Ross, 1969),
+so the merges come from Kruskal's algorithm: one sort of the pair distances,
+then a union of sets per edge that joins two of them.
 """
 
 from __future__ import annotations
@@ -269,6 +272,32 @@ class GroupAlignment:
     merges: Tuple[MergeRecord, ...]
 
 
+def _single_linkage(sim: np.ndarray):
+    """Kruskal over the upper-triangle edges in (distance, i, j) order. Yields
+    (kept members, moved members, target object, source object, distance) per
+    merge. Each set sits under the slot of the object it started from; the
+    larger set is kept, and on equal sizes the one with the lower slot. Only
+    moved (never larger) sets are relabelled, O(n log n) relabels in all."""
+    rows, cols = np.triu_indices(sim.shape[0], 1)
+    order = np.lexsort((cols, rows, sim[rows, cols]))
+    slot = list(range(sim.shape[0]))  # object -> slot of its set
+    members = {i: [i] for i in slot}  # slot -> objects, in merge order
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        a, b = slot[i], slot[j]
+        if a == b:
+            continue
+        if a > b:
+            a, b, i, j = b, a, j, i
+        if len(members[a]) >= len(members[b]):
+            kept, moved, target, source = a, b, i, j
+        else:
+            kept, moved, target, source = b, a, j, i
+        yield members[kept], members[moved], target, source, float(sim[i, j])
+        for k in members[moved]:
+            slot[k] = kept
+        members[kept] = members[kept] + members.pop(moved)
+
+
 def align_group(
     objects: Sequence[PointCloud],
     cfg: ICPConfig = ICPConfig(),
@@ -284,47 +313,24 @@ def align_group(
         raise ValueError(f"need at least 2 objects, got {n}")
     sim = similarity_matrix(objects, sd_cfg) if similarity is None else similarity
 
-    sets: List[List[int]] = [[i] for i in range(n)]
     transforms = [Transform4DOF.identity() for _ in range(n)]
     merges: List[MergeRecord] = []
-
-    while len(sets) > 1:
-        best = None  # (distance, obj_i, obj_j, set_a, set_b)
-        for a in range(len(sets)):
-            for b in range(a + 1, len(sets)):
-                for i in sets[a]:
-                    for j in sets[b]:
-                        d = sim[i, j]
-                        key = (d, min(i, j), max(i, j))
-                        if best is None or key < best[0]:
-                            best = (key, i, j, a, b)
-        (dist, _, _), obj_i, obj_j, a, b = best
-
-        # move the smaller set into the larger one's frame
-        if len(sets[a]) >= len(sets[b]):
-            kept, moved = a, b
-            target_obj, source_obj = obj_i, obj_j
-        else:
-            kept, moved = b, a
-            target_obj, source_obj = obj_j, obj_i
-
+    for kept, moved, target_obj, source_obj, dist in _single_linkage(sim):
         src_cloud = apply_transform(objects[source_obj], transforms[source_obj])
         dst_cloud = apply_transform(objects[target_obj], transforms[target_obj])
         update, _ = icp_4dof(src_cloud, dst_cloud, cfg)
-        for k in sets[moved]:
+        for k in moved:
             transforms[k] = update.compose(transforms[k])
         merges.append(
             MergeRecord(
-                kept_set=tuple(sets[kept]),
-                merged_set=tuple(sets[moved]),
+                kept_set=tuple(kept),
+                merged_set=tuple(moved),
                 source_object=source_obj,
                 target_object=target_obj,
                 transform=update,
-                distance=float(dist),
+                distance=dist,
             )
         )
-        sets[kept] = sets[kept] + sets[moved]
-        del sets[moved]
 
     return GroupAlignment(transforms=tuple(transforms), merges=tuple(merges))
 

@@ -224,11 +224,10 @@ def cmd_eval(args) -> int:
         cfg.hsd_level,
         threads=cfg.threads,
     )
+    kinds = evaluate.kind_distances(feats)
     stats_rows = []
     for strategy in strategies:
-        m = evaluate.distance_matrix(
-            ds, strategy, cfg.feature_mode, cfg.sd_config(), features=feats
-        )
+        m = evaluate.distance_matrix(ds, kinds, strategy, cfg.feature_mode)
         tag = f"{strategy}_{cfg.feature_mode}"
         evaluate.write_matrix_csv(m, out / f"distance_matrix_{tag}.csv")
         evaluate.write_matrix_pgm(m, out / f"heatmap_{tag}.pgm")

@@ -2,27 +2,28 @@
 
 Every object gets D2, A3, T3, R3 histograms over ranges fixed once from the
 dataset-wide maximum diameter (so histograms are comparable across objects),
-either exactly or via the octree-accelerated path. Object pairs are scored
-by per-histogram EMD aggregated under three strategies (average, smallest,
-biggest of the four), and per-category statistics summarize how tight each
-category is relative to everything else: the within/across mean-distance
-ratio should sit well below 1 for well-separated classes.
+either exactly or via the octree-accelerated path. One EMD pass scores every
+object pair per histogram (`kind_distances`); each of the three strategies
+(average, smallest, biggest of the four) is then a reduction of that one
+array, and per-category statistics summarize how tight each category is
+relative to everything else: the within/across mean-distance ratio should
+sit well below 1 for well-separated classes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud, emd_1d, load_cloud
+from .core import PointCloud, emd_1d, load_cloud
 from .octree import OctreeConfig, build_octree
-from .shapedist import KINDS, SDConfig, SDFeature, exact_sd, hsd, histogram_l1, sd_ranges
+from .shapedist import KINDS, SDConfig, SDFeature, exact_sd, hsd, sd_ranges
 
-STRATEGIES = ("average", "smallest", "biggest")
+_REDUCE = {"average": np.mean, "smallest": np.min, "biggest": np.max}
+STRATEGIES = tuple(_REDUCE)
 MODES = ("exact", "hsd")
 UNDEFINED = "NA"  # explicit marker for stats that do not exist
 
@@ -107,24 +108,6 @@ def object_4features(
     return out
 
 
-def pairwise_distance(
-    a: Dict[str, SDFeature],
-    b: Dict[str, SDFeature],
-    strategy: str = "average",
-    use_l1: bool = False,
-) -> float:
-    """Aggregate of the four per-histogram distances (EMD by default)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    metric = histogram_l1 if use_l1 else emd_1d
-    dists = [metric(a[kind].histogram, b[kind].histogram) for kind in KINDS]
-    if strategy == "average":
-        return float(np.mean(dists))
-    if strategy == "smallest":
-        return float(np.min(dists))
-    return float(np.max(dists))
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     values: np.ndarray
@@ -169,28 +152,35 @@ def block_order(ds: LabeledDataset) -> List[int]:
     return order
 
 
+def kind_distances(feats: Sequence[Dict[str, SDFeature]]) -> np.ndarray:
+    """EMD between every pair of objects for each histogram kind: an (n, n, 4)
+    array, KINDS order on the last axis, zero on the diagonal. `emd_1d` runs
+    once per object pair and kind."""
+    n = len(feats)
+    out = np.zeros((n, n, len(KINDS)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = [
+                emd_1d(feats[i][kind].histogram, feats[j][kind].histogram) for kind in KINDS
+            ]
+    return out
+
+
 def distance_matrix(
     ds: LabeledDataset,
+    kinds: np.ndarray,
     strategy: str = "average",
     mode: str = "exact",
-    cfg: SDConfig = SDConfig(),
-    octree_cfg: OctreeConfig = OctreeConfig(),
-    level: int = 3,
-    features: Optional[List[Dict[str, SDFeature]]] = None,
-    use_l1: bool = False,
 ) -> DistanceMatrix:
+    """Category-blocked object distances: the strategy's aggregate of the four
+    per-kind EMDs in `kinds` (from `kind_distances` in dataset order)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if len(ds) < 2:
         raise ValueError(f"need at least 2 objects, got {len(ds)}")
-    feats = (
-        dataset_features(ds, mode, cfg, octree_cfg, level) if features is None else features
-    )
     order = block_order(ds)
-    n = len(order)
-    values = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = pairwise_distance(feats[order[a]], feats[order[b]], strategy, use_l1)
-            values[a, b] = values[b, a] = d
+    # the contiguous length-4 last axis sums in the order np.mean of a list does
+    values = _REDUCE[strategy](kinds[np.ix_(order, order)], axis=-1)
     return DistanceMatrix(
         values=values,
         strategy=strategy,
@@ -241,14 +231,12 @@ def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> GroupStats:
     for cat in ds.categories:
         inside = np.nonzero(cats == cat)[0]
         outside = np.nonzero(cats != cat)[0]
-        within_vals = [
-            m.values[i, j] for ai, i in enumerate(inside) for j in inside[ai + 1 :]
-        ]
-        across_vals = [m.values[i, j] for i in inside for j in outside]
-        within_mean = float(np.mean(within_vals)) if within_vals else None
-        within_var = float(np.var(within_vals)) if within_vals else None
-        across_mean = float(np.mean(across_vals)) if across_vals else None
-        across_var = float(np.var(across_vals)) if across_vals else None
+        within_vals = m.values[np.ix_(inside, inside)][np.triu_indices(len(inside), 1)]
+        across_vals = m.values[np.ix_(inside, outside)].ravel()
+        within_mean = float(np.mean(within_vals)) if within_vals.size else None
+        within_var = float(np.var(within_vals)) if within_vals.size else None
+        across_mean = float(np.mean(across_vals)) if across_vals.size else None
+        across_var = float(np.var(across_vals)) if across_vals.size else None
         out.append(
             CategoryStats(
                 category=cat,

@@ -145,20 +145,6 @@ def _build_node(
     return node
 
 
-def node_point_indices(node: OctreeNode) -> np.ndarray:
-    """All source-cloud indices under a node (leaf lists, or the union of
-    descendant leaves)."""
-    if node.is_leaf:
-        return node.point_indices
-    return np.concatenate([node_point_indices(c) for c in node.children])
-
-
-def compute_node_reps(node: OctreeNode, cloud: PointCloud, m: int) -> List[RepPoint]:
-    """Representatives for an existing node; identical to what build_octree
-    stored when called with the same m."""
-    return compute_reps(cloud.points[node_point_indices(node)], node.bounds, m)
-
-
 def iter_nodes(root: OctreeNode):
     """Yield every node in depth-first order."""
     stack = [root]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Histogram1D, PointCloud
-from .octree import OctreeNode, RepPoint, nodes_at_level
+from .octree import OctreeNode, nodes_at_level
 
 KINDS = ("D2", "A3", "T3", "R3")
 ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
@@ -57,29 +57,11 @@ class SDConfig:
     def fixed(self, lo: float, hi: float) -> "SDConfig":
         return SDConfig(self.bins, lo, hi, self.sample_budget, self.seed)
 
-    def with_seed(self, seed: int) -> "SDConfig":
-        return SDConfig(self.bins, self.lo, self.hi, self.sample_budget, seed)
-
 
 @dataclass(frozen=True)
 class SDFeature:
     kind: str
     histogram: Histogram1D
-
-
-@dataclass(frozen=True)
-class GaussianVote:
-    """One histogram vote: N(mu, sigma2) carrying `weight` total mass."""
-
-    mu: float
-    sigma2: float
-    weight: float
-
-    def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
 def sd_ranges(diameter: float) -> Dict[str, Tuple[float, float]]:
@@ -221,31 +203,32 @@ def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> List[float]:
     return mags
 
 
-def moment_vote(kind: str, reps: Sequence[RepPoint]) -> GaussianVote:
-    """Gaussian vote for one tuple of distinct representatives.
+def moment_votes(
+    kind: str, positions: np.ndarray, scatters: np.ndarray, idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gaussian vote moments for rep tuples `idx` (N, arity) into `positions`.
 
     mu is the measurement at the rep positions; sigma2 propagates each rep's
-    isotropic scatter through the measurement gradient (delta method); the
-    weight is the product of rep weights, i.e. the number of underlying point
-    tuples this vote stands in for.
+    isotropic scatter through the measurement gradient (delta method). Rows
+    whose analytic gradient is undefined (coincident or collinear reps) take
+    central differences instead, and terms that stay non-finite are dropped.
     """
     arity = _check_kind(kind)
-    if len(reps) != arity:
-        raise ValueError(f"{kind} takes {arity} representatives, got {len(reps)}")
-    pts = np.stack([r.position for r in reps])
-    mu = measure(kind, pts)
-    parts = [pts[i][np.newaxis, :] for i in range(arity)]
-    mags = [float(g[0]) for g in gradient_magnitudes(kind, parts)]
-    if not all(math.isfinite(m) for m in mags):
-        mags = _central_difference_mags(kind, pts)
-    sigma2 = 0.0
-    for rep, g in zip(reps, mags):
-        if math.isfinite(g):
-            sigma2 += rep.scatter * g * g
-    weight = 1.0
-    for rep in reps:
-        weight *= rep.weight
-    return GaussianVote(mu=mu, sigma2=sigma2, weight=weight)
+    parts = [positions[idx[:, i]] for i in range(arity)]
+    mu = measure_many(kind, parts)
+    mags = gradient_magnitudes(kind, parts)
+    sigma2 = np.zeros(idx.shape[0])
+    bad = np.zeros(idx.shape[0], dtype=bool)
+    for slot, g in enumerate(mags):
+        sigma2 += scatters[idx[:, slot]] * np.square(g)
+        bad |= ~np.isfinite(g)
+    for row in np.nonzero(bad)[0]:
+        tuple_pts = np.stack([parts[i][row] for i in range(arity)])
+        cd = _central_difference_mags(kind, tuple_pts)
+        sigma2[row] = sum(
+            scatters[idx[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
+        )
+    return mu, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +297,6 @@ def _window_votes(out, lo, width, bins, half, center, mu, sigma, weight, chunk=1
         mass = np.diff(cdf, axis=1) * weight[start:stop, None]
         bin_idx = np.clip(c[:, None] + bin_off[None, :], 0, bins - 1)
         np.add.at(out, bin_idx.ravel(), mass.ravel())
-
-
-def vote_gaussian(h: Histogram1D, v: GaussianVote) -> Histogram1D:
-    """Return `h` with one Gaussian vote added (not renormalized)."""
-    mass = _gaussian_bin_mass(
-        h.edges(),
-        np.array([v.mu]),
-        np.array([math.sqrt(v.sigma2)]),
-        np.array([v.weight]),
-    )
-    return Histogram1D(h.lo, h.hi, h.mass + mass)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +401,7 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
         idx = _sample_tuples(n_reps, arity, cfg.sample_budget, rng, p=p)
         vote_w = np.ones(idx.shape[0])
 
-    parts = [positions[idx[:, i]] for i in range(arity)]
-    mu = measure_many(kind, parts)
-    mags = gradient_magnitudes(kind, parts)
-    sigma2 = np.zeros(idx.shape[0])
-    bad = np.zeros(idx.shape[0], dtype=bool)
-    for slot, g in enumerate(mags):
-        sigma2 += scatters[idx[:, slot]] * np.square(g)
-        bad |= ~np.isfinite(g)
-    for row in np.nonzero(bad)[0]:
-        tuple_pts = np.stack([parts[i][row] for i in range(arity)])
-        cd = _central_difference_mags(kind, tuple_pts)
-        sigma2[row] = sum(
-            scatters[idx[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
-        )
-
+    mu, sigma2 = moment_votes(kind, positions, scatters, idx)
     edges = np.linspace(lo, hi, cfg.bins + 1)
     mass = _gaussian_bin_mass(edges, mu, np.sqrt(sigma2), vote_w)
     hist = Histogram1D(lo, hi, mass).normalized()

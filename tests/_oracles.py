@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own code paths: the point is to check
 the closed-form implementations against brute force. The loop references
-(`tile_features_per_tile`, `load_xyz_line_by_line`, `spin_image_per_point`)
-are the plain per-item versions that the vectorized library code must match
-bit for bit.
+(`tile_features_per_tile`, `load_xyz_line_by_line`, `spin_image_per_point`,
+`distance_matrix_per_pair`, `single_linkage_scan`) are the plain per-item
+versions that the vectorized library code must match bit for bit.
 """
 
 import itertools
@@ -135,3 +135,56 @@ def spin_image_per_point(cloud, index, axis_mode="global-z", support_radius=None
             cols = np.clip(j0 + dj, 0, SPIN_COLS - 1)
             np.add.at(grid, (rows, cols), wv * wu)
     return SpinImage(grid / grid.sum(), support_radius)
+
+
+def pairwise_distance(a, b, strategy):
+    """One object pair's strategy aggregate of its four per-kind EMDs."""
+    from lidarshape.core import emd_1d
+    from lidarshape.shapedist import KINDS
+
+    dists = [emd_1d(a[kind].histogram, b[kind].histogram) for kind in KINDS]
+    if strategy == "average":
+        return float(np.mean(dists))
+    if strategy == "smallest":
+        return float(np.min(dists))
+    return float(np.max(dists))
+
+
+def distance_matrix_per_pair(feats, order, strategy):
+    """Distance matrix over `order` (dataset indices, category-blocked),
+    scored pair by pair as the library did before one EMD pass."""
+    n = len(order)
+    values = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            d = pairwise_distance(feats[order[a]], feats[order[b]], strategy)
+            values[a, b] = values[b, a] = d
+    return values
+
+
+def single_linkage_scan(sim):
+    """Single-linkage merge sequence by rescanning every cross-set object
+    pair at each step (O(n^3) per step), as `align_group` did before Kruskal.
+    Returns (kept members, moved members, target, source, distance) per
+    merge; ties go to the lowest (distance, min index, max index), and on
+    equal sizes the set earlier in the list is kept."""
+    sets = [[i] for i in range(sim.shape[0])]
+    out = []
+    while len(sets) > 1:
+        best = None
+        for a in range(len(sets)):
+            for b in range(a + 1, len(sets)):
+                for i in sets[a]:
+                    for j in sets[b]:
+                        key = (sim[i, j], min(i, j), max(i, j))
+                        if best is None or key < best[0]:
+                            best = (key, i, j, a, b)
+        (dist, _, _), obj_i, obj_j, a, b = best
+        if len(sets[a]) >= len(sets[b]):
+            kept, moved, target, source = a, b, obj_i, obj_j
+        else:
+            kept, moved, target, source = b, a, obj_j, obj_i
+        out.append((tuple(sets[kept]), tuple(sets[moved]), target, source, float(dist)))
+        sets[kept] = sets[kept] + sets[moved]
+        del sets[moved]
+    return out

@@ -21,6 +21,7 @@ from lidarshape.evaluate import (
     dataset_features,
     distance_matrix,
     group_stats,
+    kind_distances,
 )
 from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.roi import basic_filter, build_grid, refine_roi, tile_features, train_class_model
@@ -229,9 +230,9 @@ def test_eval_separation_three_classes_under_5min():
     cfg = SDConfig(seed=7)
     worst = 0.0
     for mode in ("exact", "hsd"):
-        feats = dataset_features(ds, mode, cfg)
+        kinds = kind_distances(dataset_features(ds, mode, cfg))
         for strategy in STRATEGIES:
-            m = distance_matrix(ds, strategy, mode, cfg, features=feats)
+            m = distance_matrix(ds, kinds, strategy, mode)
             for cs in group_stats(m, ds).per_category:
                 worst = max(worst, cs.ratio)
     elapsed = time.time() - t0

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarshape.alignment import (
     FEATURE_NAMES,
     ICPConfig,
+    _single_linkage,
     align_group,
     feature_ranges_for_group,
     icp_4dof,
@@ -20,6 +23,8 @@ from lidarshape.core import PointCloud, Transform4DOF, apply_transform, emd_1d
 from lidarshape.shapedist import SDConfig
 from lidarshape.synth import make_object
 from scipy.spatial import cKDTree
+
+from _oracles import single_linkage_scan
 
 
 def blob(rng, n=200):
@@ -296,6 +301,40 @@ def test_align_group_deterministic_merge_order():
     assert [(m.source_object, m.target_object) for m in a.merges] == [
         (m.source_object, m.target_object) for m in b.merges
     ]
+
+
+@st.composite
+def tied_similarities(draw):
+    """Symmetric 2-8 object matrices with zero diagonal and small integer
+    entries, so equal distances and equal set sizes are common."""
+    n = draw(st.integers(2, 8))
+    upper = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    sim = np.zeros((n, n))
+    sim[np.triu_indices(n, 1)] = upper
+    return sim + sim.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_similarities())
+def test_single_linkage_matches_set_scan(sim):
+    merges = [
+        (tuple(kept), tuple(moved), target, source, dist)
+        for kept, moved, target, source, dist in _single_linkage(sim)
+    ]
+    assert merges == single_linkage_scan(sim)
+
+
+def test_align_group_records_follow_set_scan():
+    rng = np.random.default_rng(71)
+    objs = [blob(rng, n=60) for _ in range(5)]
+    objs.append(PointCloud(objs[2].points.copy()))  # a distance-0 tie
+    sim = similarity_matrix(objs, SDConfig(sample_budget=1_000))
+    out = align_group(objs, similarity=sim)
+    records = [
+        (m.kept_set, m.merged_set, m.target_object, m.source_object, m.distance)
+        for m in out.merges
+    ]
+    assert records == single_linkage_scan(sim)
 
 
 # ---------------------------------------------------------------------------

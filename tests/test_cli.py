@@ -290,6 +290,20 @@ def test_eval_deterministic_rerun(tmp_path, manifest):
     assert read_all_csvs(out_a) == read_all_csvs(out_b)
 
 
+def test_eval_hsd_bytes_independent_of_threads(tmp_path, manifest):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sample_budget = 5000\n")
+    outputs = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["eval", str(manifest), "--mode", "hsd", "--strategy", "all"]
+        argv += ["--config", str(cfg_file), "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # ---------------------------------------------------------------------------
 # spin
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lidarshape.core import PointCloud, save_cloud
+from lidarshape.core import Histogram1D, PointCloud, emd_1d, save_cloud
 from lidarshape.evaluate import (
     KINDS,
     STRATEGIES,
     DistanceMatrix,
     LabeledDataset,
+    block_order,
     dataset_features,
     distance_matrix,
     group_stats,
+    kind_distances,
     load_manifest,
     object_4features,
-    pairwise_distance,
     write_matrix_csv,
     write_matrix_pgm,
     write_stats_csv,
 )
 from lidarshape.octree import OctreeConfig
-from lidarshape.shapedist import SDConfig, histogram_l1, sd_ranges
+from lidarshape.shapedist import SDConfig, SDFeature, histogram_l1, sd_ranges
 from lidarshape.synth import make_dataset, make_object
 
-from _oracles import brute_force_histogram
+from _oracles import brute_force_histogram, distance_matrix_per_pair
 
 
 def tiny_dataset(rng, per_class=3, n=120):
@@ -30,6 +33,11 @@ def tiny_dataset(rng, per_class=3, n=120):
         for _ in range(per_class):
             objs.append((make_object(kind, n, rng), kind))
     return LabeledDataset.from_pairs(objs)
+
+
+def exact_matrix(ds, cfg, strategy="average"):
+    kinds = kind_distances(dataset_features(ds, "exact", cfg))
+    return distance_matrix(ds, kinds, strategy, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +85,7 @@ def test_too_few_points_rejected():
 
 
 # ---------------------------------------------------------------------------
-# pairwise_distance
+# kind_distances / strategies
 # ---------------------------------------------------------------------------
 
 
@@ -86,8 +94,11 @@ def test_identical_features_zero_under_all_strategies():
     cloud = make_object("box", 80, rng)
     ranges = sd_ranges(cloud.bbox_diagonal())
     f = object_4features(cloud, "exact", SDConfig(sample_budget=2_000), ranges)
+    ds = LabeledDataset.from_pairs([(cloud, "box"), (cloud, "box")])
+    kinds = kind_distances([f, f])
+    assert np.all(kinds == 0.0)
     for strategy in STRATEGIES:
-        assert pairwise_distance(f, f, strategy) == 0.0
+        assert np.all(distance_matrix(ds, kinds, strategy).values == 0.0)
 
 
 def test_strategy_ordering():
@@ -99,15 +110,17 @@ def test_strategy_ordering():
     cfg = SDConfig(sample_budget=2_000)
     a = object_4features(a_cloud, "exact", cfg, ranges)
     b = object_4features(b_cloud, "exact", cfg, ranges)
-    small = pairwise_distance(a, b, "smallest")
-    avg = pairwise_distance(a, b, "average")
-    big = pairwise_distance(a, b, "biggest")
+    ds = LabeledDataset.from_pairs([(a_cloud, "box"), (b_cloud, "sphere")])
+    kinds = kind_distances([a, b])
+    small, avg, big = (
+        distance_matrix(ds, kinds, s).values[0, 1] for s in ("smallest", "average", "biggest")
+    )
     assert small <= avg <= big
+    assert small < big
 
 
 def test_average_strategy_is_mean_of_four_emds():
     rng = np.random.default_rng(13)
-    from lidarshape.core import emd_1d
 
     a_cloud = make_object("box", 60, rng)
     b_cloud = make_object("cylinder", 60, rng)
@@ -115,8 +128,68 @@ def test_average_strategy_is_mean_of_four_emds():
     cfg = SDConfig(sample_budget=1_000)
     a = object_4features(a_cloud, "exact", cfg, ranges)
     b = object_4features(b_cloud, "exact", cfg, ranges)
-    expected = sum(emd_1d(a[k].histogram, b[k].histogram) for k in KINDS) / 4
-    assert pairwise_distance(a, b, "average") == pytest.approx(expected, abs=1e-12)
+    emds = [emd_1d(a[k].histogram, b[k].histogram) for k in KINDS]
+    kinds = kind_distances([a, b])
+    assert kinds[0, 1].tolist() == emds and kinds[1, 0].tolist() == emds
+    ds = LabeledDataset.from_pairs([(a_cloud, "box"), (b_cloud, "cylinder")])
+    expected = sum(emds) / 4
+    assert distance_matrix(ds, kinds, "average").values[0, 1] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "hsd"])
+def test_distance_matrix_matches_per_pair_loop_bitwise(mode):
+    # interleaved categories: the blocking puts a later object before an
+    # earlier one, so the loop scores some pairs in the other argument order
+    rng = np.random.default_rng(59)
+    kinds_of = ("box", "sphere", "box", "pole", "sphere", "box")
+    ds = LabeledDataset.from_pairs([(make_object(k, 60, rng), k) for k in kinds_of])
+    feats = dataset_features(ds, mode, SDConfig(sample_budget=1_000, seed=4))
+    kinds = kind_distances(feats)
+    order = block_order(ds)
+    assert order != sorted(order)
+    for strategy in STRATEGIES:
+        m = distance_matrix(ds, kinds, strategy, mode)
+        oracle = distance_matrix_per_pair(feats, order, strategy)
+        assert m.values.tobytes() == oracle.tobytes(), strategy
+        assert m.row_objects == tuple(order)
+
+
+def test_distance_matrix_rejects_unknown_strategy_and_one_object():
+    rng = np.random.default_rng(61)
+    cloud = make_object("box", 40, rng)
+    ds = LabeledDataset.from_pairs([(cloud, "box")] * 2)
+    feats = dataset_features(ds, "exact", SDConfig(sample_budget=500))
+    with pytest.raises(ValueError, match="unknown strategy"):
+        distance_matrix(ds, kind_distances(feats), "median")
+    one = LabeledDataset.from_pairs([(cloud, "box")])
+    with pytest.raises(ValueError, match="at least 2 objects"):
+        distance_matrix(one, kind_distances(feats[:1]))
+
+
+@st.composite
+def feature_sets(draw):
+    """2-5 objects, each with four random normalized 8-bin histograms."""
+    n = draw(st.integers(2, 5))
+    mass = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(lambda m: sum(m) > 0.01)
+    return [
+        {k: SDFeature(k, Histogram1D(0.0, 2.0, np.array(draw(mass))).normalized()) for k in KINDS}
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_sets())
+def test_kind_distances_are_a_metric_per_kind(feats):
+    kinds = kind_distances(feats)
+    n = len(feats)
+    assert kinds.shape == (n, n, len(KINDS))
+    for k in range(len(KINDS)):
+        d = kinds[..., k]
+        assert np.all(d >= 0.0)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        # d[i, k] <= d[i, j] + d[j, k] for every triple
+        assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +201,14 @@ def test_duplicated_object_gives_zero_matrix():
     rng = np.random.default_rng(17)
     cloud = make_object("box", 80, rng)
     ds = LabeledDataset.from_pairs([(cloud, "box"), (PointCloud(cloud.points.copy()), "box")])
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=1_000))
+    m = exact_matrix(ds, SDConfig(sample_budget=1_000))
     assert np.allclose(m.values, 0.0, atol=1e-12)
 
 
 def test_matrix_symmetric_zero_diagonal_blocked():
     rng = np.random.default_rng(19)
     ds = tiny_dataset(rng)
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=1_000, seed=3))
+    m = exact_matrix(ds, SDConfig(sample_budget=1_000, seed=3))
     assert np.abs(m.values - m.values.T).max() == 0.0
     assert np.all(np.diag(m.values) == 0)
     assert list(m.row_categories) == ["sphere"] * 3 + ["box"] * 3
@@ -144,7 +217,7 @@ def test_matrix_symmetric_zero_diagonal_blocked():
 def test_block_diagonal_dominance_three_classes():
     objs = make_dataset({"sphere": 4, "box": 4, "cylinder": 4}, n_points=150, seed=23)
     ds = LabeledDataset.from_pairs([(o, o.label) for o in objs])
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=2_000, seed=1))
+    m = exact_matrix(ds, SDConfig(sample_budget=2_000, seed=1))
     stats = group_stats(m, ds)
     for cs in stats.per_category:
         assert cs.within_mean < cs.across_mean
@@ -163,7 +236,7 @@ def test_group_stats_identical_within_classes():
             (PointCloud(b.points.copy()), "pole"),
         ]
     )
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=1_000))
+    m = exact_matrix(ds, SDConfig(sample_budget=1_000))
     stats = group_stats(m, ds)
     for cs in stats.per_category:
         assert cs.within_mean == pytest.approx(0.0, abs=1e-12)
@@ -174,7 +247,7 @@ def test_group_stats_identical_within_classes():
 def test_single_category_across_undefined():
     rng = np.random.default_rng(31)
     ds = LabeledDataset.from_pairs([(make_object("box", 60, rng), "box") for _ in range(3)])
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=500))
+    m = exact_matrix(ds, SDConfig(sample_budget=500))
     stats = group_stats(m, ds)
     cs = stats.by_name("box")
     assert cs.across_mean is None
@@ -190,7 +263,7 @@ def test_singleton_category_within_undefined():
             (make_object("sphere", 60, rng), "sphere"),
         ]
     )
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=500))
+    m = exact_matrix(ds, SDConfig(sample_budget=500))
     stats = group_stats(m, ds)
     assert stats.by_name("box").within_mean is None
     assert stats.by_name("box").across_mean is not None
@@ -199,7 +272,7 @@ def test_singleton_category_within_undefined():
 def test_group_stats_match_brute_force_loops():
     rng = np.random.default_rng(41)
     ds = tiny_dataset(rng, per_class=4, n=80)
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=1_000, seed=9))
+    m = exact_matrix(ds, SDConfig(sample_budget=1_000, seed=9))
     stats = group_stats(m, ds)
 
     cats = list(m.row_categories)
@@ -212,10 +285,11 @@ def test_group_stats_match_brute_force_loops():
                 if cats[i] == cat and cats[j] != cat:
                     across.append(m.values[i, j])
         cs = stats.by_name(cat)
-        assert cs.within_mean == pytest.approx(np.mean(within), abs=1e-12)
-        assert cs.within_var == pytest.approx(np.var(within), abs=1e-12)
-        assert cs.across_mean == pytest.approx(np.mean(across), abs=1e-12)
-        assert cs.across_var == pytest.approx(np.var(across), abs=1e-12)
+        # same values in the same order: the same bits
+        assert cs.within_mean == float(np.mean(within))
+        assert cs.within_var == float(np.var(within))
+        assert cs.across_mean == float(np.mean(across))
+        assert cs.across_var == float(np.var(across))
 
 
 def test_group_stats_invariant_to_within_category_permutation():
@@ -225,8 +299,8 @@ def test_group_stats_invariant_to_within_category_permutation():
     ds1 = LabeledDataset.from_pairs(objs)
     ds2 = LabeledDataset.from_pairs([objs[1], objs[0], objs[2]] + objs[3:])
     cfg = SDConfig(sample_budget=1_000, seed=2)
-    s1 = group_stats(distance_matrix(ds1, cfg=cfg), ds1)
-    s2 = group_stats(distance_matrix(ds2, cfg=cfg), ds2)
+    s1 = group_stats(exact_matrix(ds1, cfg), ds1)
+    s2 = group_stats(exact_matrix(ds2, cfg), ds2)
     for cat in ("box", "sphere"):
         assert s1.by_name(cat).within_mean == pytest.approx(
             s2.by_name(cat).within_mean, abs=1e-12
@@ -261,7 +335,7 @@ def test_manifest_missing_file(tmp_path):
 def test_matrix_exports(tmp_path):
     rng = np.random.default_rng(53)
     ds = tiny_dataset(rng, per_class=2, n=60)
-    m = distance_matrix(ds, cfg=SDConfig(sample_budget=500))
+    m = exact_matrix(ds, SDConfig(sample_budget=500))
     write_matrix_csv(m, tmp_path / "m.csv")
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert len(lines) == 1 + 4

@@ -2,17 +2,20 @@
 
 The roi and features digests were recorded from the code before the xyz
 reader and the ROI tile features were vectorized, the spin digests from the
-per-point spin-image loop before it became a blocked kernel; any change to
-the bytes the CLI writes on these inputs fails here. If an output is
+per-point spin-image loop before it became a blocked kernel, the eval and
+align digests from the per-strategy pair loops and the O(n^3) set scan before
+one EMD pass and Kruskal merging replaced them; any change to the bytes the
+CLI writes on these inputs fails here. If an output is
 changed on purpose, record the new digests in the same change and say why.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from lidarshape.cli import main
-from lidarshape.core import save_cloud
+from lidarshape.core import PointCloud, Transform4DOF, save_cloud
 from lidarshape.synth import make_object, make_scene
 
 ROI_DIGESTS = {
@@ -29,6 +32,34 @@ SPIN_DIGESTS = {
     "labels.csv": "93b59252b25fcd9914449a93ae2bbcbdc951f01c88ea157a991d1c106a404800",
     "spin_0000.pgm": "dfe96f5669b109630737487b4dbd7285bee3641928e329757547402e091ba2cc",
     "spin_0001.pgm": "3d9c048b80d834b20113f2807bdbbd8a2bc3a92c196186d22bca2ce98a8db939",
+}
+
+EVAL_DIGESTS = {
+    "exact": {
+        "distance_matrix_average_exact.csv": "0b01e01a4679bc01a7d96aaee86abf350b8307f9fcb363e6be063735b17ed445",
+        "distance_matrix_biggest_exact.csv": "681aa9a81bd71b1d68cea93544d48227a92f107e2ad546ac275c59f7a2730039",
+        "distance_matrix_smallest_exact.csv": "a979000a337c57c546a149e750b7897995707111fbcc5cb9526d3c0289d88e49",
+        "heatmap_average_exact.pgm": "36e00ff33d55549c3ce56550262fb2f3a860614a4b3bb2b428bbfba8d7522a4e",
+        "heatmap_biggest_exact.pgm": "78c82fd5a519416cad0f3cc929f9cccf8a78e4aea5bd84b07d83760fe082156c",
+        "heatmap_smallest_exact.pgm": "2a2a4b618075b09ecae1e5ff9488c7032ebe55d8db003b0eff5126f3f583c310",
+        "stats.csv": "e9bac12149c32810b0769f54c81f6c4ce9991f12621b4868e2c2e4f37257e137",
+    },
+    "hsd": {
+        "distance_matrix_average_hsd.csv": "7d3ad7d073c1c52e3e1e078b975e9fb80759727a2be00efd11513bf7104ef153",
+        "distance_matrix_biggest_hsd.csv": "d4fad230165c97cf1eafe49a5bf040ba7d3c749e998634e9f0bfcf06ae74f71f",
+        "distance_matrix_smallest_hsd.csv": "4e179668df17ff3f3b8704094bf7adbffffa8501ced8e44174f557d82240f84e",
+        "heatmap_average_hsd.pgm": "7d820cbb27b82f8d0d8b3566541ad106fdf144221cbdbe097744e78c479c90e8",
+        "heatmap_biggest_hsd.pgm": "67ea67db2d0febea17579beb03661a4c8d55d7ce4faea0f4a1db73886c2d9827",
+        "heatmap_smallest_hsd.pgm": "73310271f1f470ab1900fc2c57fad3931aa68c5c6507a0108d658328aacfc329",
+        "stats.csv": "5094a0a52542d06eb72d22e6eca925d7713a7972306be80c2c34400364a50e2f",
+    },
+}
+
+ALIGN_DIGESTS = {
+    "merged.xyz": "f1574182abc1b0e69eccf08ae7c3701cf94c0c61b49395b7c9628ccc7e0448b8",
+    "merges.csv": "7f2adb0598fb5eb3a60e867577edd06a7f358fc87e8eef6d003318189c7525a8",
+    "similarity.csv": "60bb19ab3b0f90a4ed6e70cebfb868a7dd137cee43747e18dfa39b7044d095ba",
+    "transforms.csv": "b5cceb85e9ceb55e46f2d1b713f5e48759fa843c3b0b2a61a15a476dd994705c",
 }
 
 
@@ -65,3 +96,45 @@ def test_spin_outputs_match_golden(tmp_path):
     code = main(argv + ["--out", str(out)])
     assert code == 0
     assert _digests(out) == SPIN_DIGESTS
+
+
+def _eval_manifest(directory):
+    """Five 40-point objects whose categories interleave, so the category
+    blocking reorders the rows, plus a singleton category (undefined
+    within-stats)."""
+    rng = np.random.default_rng(6)
+    lines = []
+    for i, kind in enumerate(("sphere", "box", "sphere", "box", "cylinder")):
+        save_cloud(make_object(kind, 40, rng), directory / f"{kind}_{i}.xyz")
+        lines.append(f"{kind}_{i}.xyz,{kind}")
+    path = directory / "manifest.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("mode", ["exact", "hsd"])
+def test_eval_outputs_match_golden(tmp_path, mode):
+    manifest = _eval_manifest(tmp_path)
+    out = tmp_path / "eval"
+    argv = ["eval", str(manifest), "--mode", mode, "--strategy", "all", "--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out) == EVAL_DIGESTS[mode]
+
+
+def test_align_outputs_match_golden(tmp_path):
+    # noise-free 4-DOF copies have exactly equal features, and the last two
+    # objects duplicate two files: the merge order is decided by its ties
+    rng = np.random.default_rng(8)
+    names = []
+    for kind in ("lshape", "box"):
+        base = make_object(kind, 60, rng).points
+        for _ in range(3):
+            t = Transform4DOF(*rng.uniform(-3, 3, size=3), float(rng.uniform(-0.5, 0.5)))
+            names.append(f"{kind}_{len(names)}.xyz")
+            save_cloud(PointCloud(t.apply_points(base)), tmp_path / names[-1])
+    lines = [f"{n},{n.split('_')[0]}" for n in names + [names[1], names[4]]]
+    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "align"
+    argv = ["align", str(tmp_path / "manifest.csv"), "--merged-out", "merged.xyz"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _digests(out) == ALIGN_DIGESTS

@@ -123,21 +123,6 @@ def test_nodes_at_level_cover_all_points():
             assert n.depth == level or (n.is_leaf and n.depth < level)
 
 
-def test_compute_node_reps_matches_build():
-    rng = np.random.default_rng(43)
-    cloud = PointCloud(rng.uniform(0, 3, size=(800, 3)))
-    cfg = OctreeConfig(max_depth=4, leaf_capacity=20, reps_per_node=8)
-    root = build_octree(cloud, cfg)
-    from lidarshape.octree import compute_node_reps
-
-    for node in iter_nodes(root):
-        again = compute_node_reps(node, cloud, cfg.reps_per_node)
-        assert len(again) == len(node.reps)
-        built = sorted((tuple(np.round(r.position, 12)), r.weight) for r in node.reps)
-        redone = sorted((tuple(np.round(r.position, 12)), r.weight) for r in again)
-        assert built == redone
-
-
 def test_degenerate_planar_cloud_builds():
     rng = np.random.default_rng(41)
     pts = rng.uniform(0, 1, size=(100, 3))

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from lidarshape.core import Histogram1D, PointCloud, Transform4DOF, apply_transform
-from lidarshape.octree import OctreeConfig, RepPoint, build_octree
+from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.shapedist import (
     KINDS,
-    GaussianVote,
     SDConfig,
+    _gaussian_bin_mass,
     exact_sd,
     hsd,
     histogram_l1,
     measure,
-    moment_vote,
+    moment_votes,
     sd_ranges,
-    vote_gaussian,
     write_features_csv,
 )
 from lidarshape.synth import make_object
@@ -138,33 +137,37 @@ def test_exact_sd_sampling_is_seeded():
 
 
 # ---------------------------------------------------------------------------
-# moment_vote
+# moment_votes
 # ---------------------------------------------------------------------------
 
 
+def one_vote(kind, centers, scatters):
+    """(mu, sigma2) of the single vote over reps at `centers`."""
+    positions = np.asarray(centers, dtype=np.float64)
+    idx = np.arange(len(positions))[None, :]
+    mu, sigma2 = moment_votes(kind, positions, np.asarray(scatters, dtype=np.float64), idx)
+    assert mu.shape == sigma2.shape == (1,)
+    return float(mu[0]), float(sigma2[0])
+
+
 def test_moment_vote_zero_scatter_reduces_to_measure():
-    reps = [RepPoint((0, 0, 0), 1, 0.0), RepPoint((5, 0, 0), 1, 0.0)]
-    v = moment_vote("D2", reps)
-    assert v.mu == 5.0
-    assert v.sigma2 == 0.0
-    assert v.weight == 1.0
+    mu, sigma2 = one_vote("D2", [(0, 0, 0), (5, 0, 0)], [0.0, 0.0])
+    assert mu == 5.0
+    assert sigma2 == 0.0
 
 
 def test_moment_vote_d2_sigma_is_sum_of_scatters():
-    reps = [RepPoint((0, 0, 0), 3, 0.04), RepPoint((2, 0, 0), 5, 0.09)]
-    v = moment_vote("D2", reps)
-    assert v.mu == pytest.approx(2.0)
-    assert v.sigma2 == pytest.approx(0.13, abs=1e-12)
-    assert v.weight == 15.0
+    mu, sigma2 = one_vote("D2", [(0, 0, 0), (2, 0, 0)], [0.04, 0.09])
+    assert mu == pytest.approx(2.0)
+    assert sigma2 == pytest.approx(0.13, abs=1e-12)
 
 
 def test_moment_vote_degenerate_uses_remaining_terms():
     # coincident reps: D2 gradient undefined, sigma2 falls back gracefully
-    reps = [RepPoint((1, 1, 1), 2, 0.01), RepPoint((1, 1, 1), 2, 0.0)]
-    v = moment_vote("D2", reps)
-    assert v.mu == 0.0
-    assert np.isfinite(v.sigma2)
-    assert v.sigma2 >= 0.0
+    mu, sigma2 = one_vote("D2", [(1, 1, 1), (1, 1, 1)], [0.01, 0.0])
+    assert mu == 0.0
+    assert np.isfinite(sigma2)
+    assert sigma2 >= 0.0
 
 
 def test_moment_vote_a3_matches_monte_carlo():
@@ -174,8 +177,7 @@ def test_moment_vote_a3_matches_monte_carlo():
     centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.3, 0.9, 0.2]])
     d = 1.0
     scatters = np.array([(0.08 * d) ** 2, (0.1 * d) ** 2, (0.05 * d) ** 2])
-    reps = [RepPoint(c, 1, float(s)) for c, s in zip(centers, scatters)]
-    v = moment_vote("A3", reps)
+    mu, sigma2 = one_vote("A3", centers, scatters)
 
     n = 100_000
     samples = [
@@ -184,42 +186,60 @@ def test_moment_vote_a3_matches_monte_carlo():
     areas = 0.5 * np.linalg.norm(
         np.cross(samples[1] - samples[0], samples[2] - samples[0]), axis=1
     )
-    assert v.mu == pytest.approx(float(areas.mean()), rel=0.03)
-    assert v.sigma2 == pytest.approx(float(areas.var()), rel=0.25)
+    assert mu == pytest.approx(float(areas.mean()), rel=0.03)
+    assert sigma2 == pytest.approx(float(areas.var()), rel=0.25)
 
 
 def test_moment_vote_t3_matches_monte_carlo():
     rng = np.random.default_rng(73)
     centers = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0.2, 0.3, 1.1]])
     scatters = np.full(4, 0.05**2)
-    reps = [RepPoint(c, 1, float(s)) for c, s in zip(centers, scatters)]
-    v = moment_vote("T3", reps)
+    mu, sigma2 = one_vote("T3", centers, scatters)
 
     n = 100_000
     s = [centers[i] + rng.normal(scale=0.05, size=(n, 3)) for i in range(4)]
     vols = np.abs(np.einsum("ij,ij->i", s[1] - s[0], np.cross(s[2] - s[0], s[3] - s[0]))) / 6.0
-    assert v.mu == pytest.approx(float(vols.mean()), rel=0.03)
-    assert v.sigma2 == pytest.approx(float(vols.var()), rel=0.25)
+    assert mu == pytest.approx(float(vols.mean()), rel=0.03)
+    assert sigma2 == pytest.approx(float(vols.var()), rel=0.25)
+
+
+def test_moment_votes_rows_are_independent():
+    # a degenerate row (central-difference fallback) next to regular rows
+    # gets the same moments as it does on its own
+    positions = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.5, 1.5, 0.3]])
+    scatters = np.array([0.01, 0.04, 0.02, 0.03])
+    idx = np.array([[0, 1, 3], [1, 2, 0], [3, 0, 2]])
+    mu, sigma2 = moment_votes("R3", positions, scatters, idx)
+    for row in range(3):
+        alone = one_vote("R3", positions[idx[row]], scatters[idx[row]])
+        assert (mu[row], sigma2[row]) == pytest.approx(alone, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# vote_gaussian
+# _gaussian_bin_mass
 # ---------------------------------------------------------------------------
+
+
+def one_gaussian(h, mu, sigma2, weight):
+    """Per-bin mass of one vote N(mu, sigma2) carrying `weight`."""
+    return _gaussian_bin_mass(
+        h.edges(), np.array([mu]), np.array([math.sqrt(sigma2)]), np.array([weight])
+    )
 
 
 def test_vote_point_mass_lands_mid_bin():
     h = Histogram1D.empty(0.0, 8.0, 8)
-    out = vote_gaussian(h, GaussianVote(mu=3.5, sigma2=0.0, weight=2.0))
-    assert out.mass[3] == 2.0
-    assert out.total() == 2.0
+    out = one_gaussian(h, mu=3.5, sigma2=0.0, weight=2.0)
+    assert out[3] == 2.0
+    assert out.sum() == 2.0
 
 
 def test_vote_three_sigma_mass_coverage():
     h = Histogram1D.empty(0.0, 1.0, 100)
     sigma = 0.01
-    out = vote_gaussian(h, GaussianVote(mu=0.5, sigma2=sigma**2, weight=1.0))
-    center = out.bin_index(0.5)
-    within = out.mass[center - 3 : center + 4].sum()
+    out = one_gaussian(h, mu=0.5, sigma2=sigma**2, weight=1.0)
+    center = h.bin_index(0.5)
+    within = out[center - 3 : center + 4].sum()
     assert within >= 0.997
 
 
@@ -227,13 +247,11 @@ def test_vote_mass_conservation_with_clamping():
     rng = np.random.default_rng(83)
     for _ in range(50):
         h = Histogram1D.empty(0.0, 1.0, 16)
-        v = GaussianVote(
-            mu=rng.uniform(-0.5, 1.5),
-            sigma2=rng.uniform(0, 0.3) ** 2,
-            weight=rng.uniform(0.1, 4.0),
-        )
-        out = vote_gaussian(h, v)
-        assert out.total() == pytest.approx(v.weight, abs=1e-9)
+        mu = rng.uniform(-0.5, 1.5)
+        sigma2 = rng.uniform(0, 0.3) ** 2
+        weight = rng.uniform(0.1, 4.0)
+        out = one_gaussian(h, mu, sigma2, weight)
+        assert out.sum() == pytest.approx(weight, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
