@@ -4,8 +4,10 @@ The roi and features digests were recorded from the code before the xyz
 reader and the ROI tile features were vectorized, the spin digests from the
 per-point spin-image loop before it became a blocked kernel, the eval and
 align digests from the per-strategy pair loops and the O(n^3) set scan before
-one EMD pass and Kruskal merging replaced them; any change to the bytes the
-CLI writes on these inputs fails here. If an output is
+one EMD pass and Kruskal merging replaced them, the hsd features digest from
+the recursive octree build with its per-cell rep loop before the build became
+one array pass per depth; any change to the bytes the CLI writes on these
+inputs fails here. If an output is
 changed on purpose, record the new digests in the same change and say why.
 """
 
@@ -24,6 +26,10 @@ ROI_DIGESTS = {
 }
 FEATURES_DIGESTS = {
     "features_box.csv": "49a74d148a66fa85b262baed710ab2623aa7eab15d5ec8116d3efae7b8e58186",
+}
+
+FEATURES_HSD_DIGESTS = {
+    "features_cylinder.csv": "d1c2245b8ea6525f40ac1115d45cce7fe02ee3f2c7cc5fb509a5be4256ab5f97",
 }
 
 SPIN_DIGESTS = {
@@ -86,6 +92,25 @@ def test_features_outputs_match_golden(tmp_path):
     code = main(["features", str(tmp_path / "box.xyz"), "--out", str(out)])
     assert code == 0
     assert _digests(out) == FEATURES_DIGESTS
+
+
+def test_features_hsd_outputs_match_golden(tmp_path):
+    """`features --mode hsd` on an 800-point cylinder at the default octree
+    settings and level 3. That level holds 46 leaves from depth 2 standing in
+    for depth-3 nodes, and 177 reps: 151 from cells with fewer than 8 members
+    and 26 from cells with 8 or more, whose scatter means are summed in
+    different orders. With `sample_budget = 20000`, D2's 15,576 rep pairs are
+    enumerated with product-of-weight votes and A3, T3 and R3 are sampled with
+    weight-proportional draws. The exact-mode features golden builds no
+    octree."""
+    cloud = make_object("cylinder", 800, np.random.default_rng(9))
+    save_cloud(cloud, tmp_path / "cylinder.xyz")
+    (tmp_path / "hsd.cfg").write_text("sample_budget = 20000\n")
+    out = tmp_path / "features"
+    argv = ["features", str(tmp_path / "cylinder.xyz"), "--mode", "hsd"]
+    argv += ["--config", str(tmp_path / "hsd.cfg"), "--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out) == FEATURES_HSD_DIGESTS
 
 
 def test_spin_outputs_match_golden(tmp_path):
