@@ -7,6 +7,10 @@ points when shape distribution features are evaluated hierarchically, so a
 feature between two large nodes costs a handful of rep pairs instead of a
 full cross product of points.
 
+The tree is built breadth first, one array pass per depth: the reps of every
+node at a depth come out as one `REP_DTYPE` record array (position, weight,
+scatter), and each node's `reps` is its slice of that array.
+
 The tree is immutable after build; concurrent read traversal is safe.
 """
 
@@ -31,22 +35,9 @@ class OctreeConfig:
             raise ValueError(f"octree parameters must be positive: {self}")
 
 
-@dataclass(frozen=True)
-class RepPoint:
-    """Weighted representative: cluster mean, member count, mean sq. deviation."""
-
-    position: np.ndarray
-    weight: int
-    scatter: float  # mean squared distance of members to their mean, m^2
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-        if self.weight < 1:
-            raise ValueError(f"rep weight must be >= 1, got {self.weight}")
-        if self.scatter < 0:
-            raise ValueError(f"rep scatter must be >= 0, got {self.scatter}")
+REP_DTYPE = np.dtype(
+    [("position", np.float64, (3,)), ("weight", np.int64), ("scatter", np.float64)]
+)
 
 
 @dataclass
@@ -54,7 +45,7 @@ class OctreeNode:
     bounds: AABB
     depth: int
     count: int
-    reps: List[RepPoint]
+    reps: np.ndarray  # REP_DTYPE records, a slice of its depth's array
     children: List["OctreeNode"] = field(default_factory=list)
     point_indices: Optional[np.ndarray] = None  # leaf only
 
@@ -73,76 +64,81 @@ def subvoxel_grid_per_axis(m: int) -> int:
     return g
 
 
-def compute_reps(points: np.ndarray, bounds: AABB, m: int) -> List[RepPoint]:
-    """Partition points into at most m groups on a regular sub-voxel grid.
-
-    Every occupied grid cell becomes one RepPoint carrying the member mean,
-    the member count, and the mean squared distance of members to the mean.
-    Weights always sum to the number of input points.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n < 1:
-        raise ValueError("cannot compute representatives of an empty node")
-    g = subvoxel_grid_per_axis(m)
-    ext = np.maximum(bounds.extent(), 1e-300)
-    cell = np.floor((points - bounds.min) / ext * g).astype(np.int64)
-    np.clip(cell, 0, g - 1, out=cell)
-    flat = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
-
-    reps = []
-    for cell_id in np.unique(flat):
-        members = points[flat == cell_id]
-        mean = members.mean(axis=0)
-        sq_dev = np.square(members - mean).sum(axis=1)
-        reps.append(RepPoint(mean, members.shape[0], float(sq_dev.mean())))
-    return reps
-
-
 def build_octree(cloud: PointCloud, cfg: OctreeConfig = OctreeConfig()) -> OctreeNode:
     """Build the hierarchy: cube root bounds, split octants while a node holds
-    more than leaf_capacity points and is shallower than max_depth."""
+    more than leaf_capacity points and is shallower than max_depth. Each
+    depth takes one array pass over its point indices, kept grouped by node
+    (children in octant order, each node's points in index order)."""
     pts = cloud.points
-    root_bounds = cloud.aabb().expanded_to_cube()
-    indices = np.arange(len(cloud), dtype=np.int64)
-    return _build_node(pts, indices, root_bounds, 0, cfg)
+    g = subvoxel_grid_per_axis(cfg.reps_per_node)
+    box = cloud.aabb().expanded_to_cube()
+    root = OctreeNode(box, 0, len(cloud), reps=None)
+    nodes, lo, hi = [root], box.min[None, :], box.max[None, :]
+    order = np.arange(len(cloud), dtype=np.int64)
+    counts = np.array([len(cloud)])
+    for depth in range(cfg.max_depth + 1):
+        member = np.repeat(np.arange(len(nodes)), counts)
+        sub = pts[order]
+        reps, rep_starts = _depth_reps(sub, member, lo, hi, g)
+        split = (counts > cfg.leaf_capacity) & (depth < cfg.max_depth)
+        groups = zip(np.split(reps, rep_starts), np.split(order, np.cumsum(counts)[:-1]), split)
+        for node, (node_reps, indices, internal) in zip(nodes, groups):
+            node.reps = node_reps
+            if not internal:
+                node.point_indices = indices
+        if not split.any():
+            break
+
+        keep = split[member]
+        order, sub, member = order[keep], sub[keep], member[keep]
+        center = 0.5 * (lo + hi)
+        key = member * 8 + (sub >= center[member]) @ np.array([4, 2, 1])
+        by_child = np.argsort(key, kind="stable")
+        order = order[by_child]
+        child_keys, counts = np.unique(key[by_child], return_counts=True)
+        parent, code = np.divmod(child_keys, 8)
+        upper = (code[:, None] & np.array([4, 2, 1])) > 0
+        lo = np.where(upper, center[parent], lo[parent])
+        hi = np.where(upper, hi[parent], center[parent])
+        children = [
+            OctreeNode(AABB(l, h), depth + 1, c, reps=None)
+            for l, h, c in zip(lo, hi, counts.tolist())
+        ]
+        for p, child in zip(parent.tolist(), children):
+            nodes[p].children.append(child)
+        nodes = children
+    return root
 
 
-def _build_node(
-    pts: np.ndarray,
-    indices: np.ndarray,
-    bounds: AABB,
-    depth: int,
-    cfg: OctreeConfig,
-) -> OctreeNode:
-    count = indices.shape[0]
-    reps = compute_reps(pts[indices], bounds, cfg.reps_per_node)
-    node = OctreeNode(bounds=bounds, depth=depth, count=count, reps=reps)
+def _depth_reps(sub, member, lo, hi, g):
+    """Reps of every node at one depth: `sub` holds the depth's points grouped
+    by node (`member` is each point's node) and lo/hi the node bounds. Returns
+    the records, node by node in ascending sub-voxel cell order, and the
+    record index at which each node after the first starts."""
+    ext = np.maximum(hi - lo, 1e-300)
+    cell = np.clip(np.floor((sub - lo[member]) / ext[member] * g).astype(np.int64), 0, g - 1)
+    flat = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
+    # stable, by node then cell; a node * g**3 + cell key can overflow int64
+    by_cell = np.lexsort((flat, member))
+    node, flat = member[by_cell], flat[by_cell]
+    first = np.flatnonzero(np.r_[True, (node[1:] != node[:-1]) | (flat[1:] != flat[:-1])])
+    size = np.diff(np.r_[first, flat.shape[0]])
+    cell_pts = sub[by_cell]
+    rep = np.repeat(np.arange(first.shape[0]), size)
 
-    if count <= cfg.leaf_capacity or depth >= cfg.max_depth:
-        node.point_indices = indices
-        return node
-
-    center = 0.5 * (bounds.min + bounds.max)
-    sub = pts[indices]
-    octant = (
-        (sub[:, 0] >= center[0]).astype(np.int64) * 4
-        + (sub[:, 1] >= center[1]).astype(np.int64) * 2
-        + (sub[:, 2] >= center[2]).astype(np.int64)
-    )
-    for code in range(8):
-        child_idx = indices[octant == code]
-        if child_idx.shape[0] == 0:
-            continue
-        lo = bounds.min.copy()
-        hi = bounds.max.copy()
-        for axis, bit in enumerate((4, 2, 1)):
-            if code & bit:
-                lo[axis] = center[axis]
-            else:
-                hi[axis] = center[axis]
-        node.children.append(_build_node(pts, child_idx, AABB(lo, hi), depth + 1, cfg))
-    return node
+    out = np.empty(first.shape[0], dtype=REP_DTYPE)
+    # bincount adds each cell's points in order from 0.0, as .mean(axis=0) does
+    for axis in range(3):
+        out["position"][:, axis] = np.bincount(rep, weights=cell_pts[:, axis]) / size
+    out["weight"] = size
+    sq_dev = np.square(cell_pts - out["position"][rep]).sum(axis=1)
+    out["scatter"] = np.bincount(rep, weights=sq_dev) / size
+    # numpy sums 8 or more values pairwise, not in order: those cells take
+    # their own mean over their contiguous slice
+    for c in np.flatnonzero(size >= 8).tolist():
+        out["scatter"][c] = sq_dev[first[c] : first[c] + size[c]].mean()
+    out.setflags(write=False)  # nodes share it through their slices
+    return out, np.searchsorted(node[first], np.arange(1, lo.shape[0]))
 
 
 def iter_nodes(root: OctreeNode):

@@ -17,7 +17,6 @@ vote stands in for `prod(weights)` point tuples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -305,11 +304,16 @@ def _window_votes(out, lo, width, bins, half, center, mu, sigma, weight, chunk=1
 
 
 def _all_combinations(n: int, r: int) -> np.ndarray:
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), r)),
-        dtype=np.int64,
-    )
-    return flat.reshape(-1, r)
+    """Every r-subset of range(n) as an int64 (C(n, r), r) array, rows in
+    itertools.combinations order."""
+    combos = np.arange(n, dtype=np.int64)[:, None]
+    for _ in range(r - 1):
+        # the rows that start above i are a tail of the sorted table: prefix i
+        tail = np.searchsorted(combos[:, 0], np.arange(n), side="right")
+        lengths = combos.shape[0] - tail
+        rows = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - tail, lengths)
+        combos = np.column_stack([np.repeat(np.arange(n, dtype=np.int64), lengths), combos[rows]])
+    return combos
 
 
 def _sample_tuples(
@@ -377,16 +381,15 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     arity = _check_kind(kind)
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    nodes = nodes_at_level(root, level)
-    reps = [r for node in nodes for r in node.reps]
-    n_reps = len(reps)
+    reps = np.concatenate([node.reps for node in nodes_at_level(root, level)])
+    n_reps = reps.shape[0]
     if n_reps < arity:
         raise ValueError(
             f"{kind} needs at least {arity} representatives, level {level} has {n_reps}"
         )
-    positions = np.stack([r.position for r in reps])
-    weights = np.array([r.weight for r in reps], dtype=np.float64)
-    scatters = np.array([r.scatter for r in reps], dtype=np.float64)
+    positions = np.ascontiguousarray(reps["position"])
+    weights = reps["weight"].astype(np.float64)
+    scatters = np.ascontiguousarray(reps["scatter"])
 
     diam = float(np.linalg.norm(positions.max(axis=0) - positions.min(axis=0)))
     lo, hi = _resolve_range(cfg, kind, diam)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the point is to check
 the closed-form implementations against brute force. The loop references
 (`tile_features_per_tile`, `load_xyz_line_by_line`, `spin_image_per_point`,
-`distance_matrix_per_pair`, `single_linkage_scan`) are the plain per-item
-versions that the vectorized library code must match bit for bit.
+`distance_matrix_per_pair`, `single_linkage_scan`, `build_octree_recursive`)
+are the plain per-item versions that the vectorized library code must match
+bit for bit.
 """
 
 import itertools
@@ -188,3 +189,58 @@ def single_linkage_scan(sim):
         sets[kept] = sets[kept] + sets[moved]
         del sets[moved]
     return out
+
+
+def build_octree_recursive(cloud, cfg):
+    """Octree built one node at a time by recursion, with each node's reps
+    from a per-cell loop, as the library built it before one array pass per
+    depth. Nodes are `OctreeNode`s whose `reps` is a list of
+    (position, weight, scatter) tuples, one per occupied sub-voxel cell in
+    ascending cell order."""
+    from lidarshape.core import AABB
+    from lidarshape.octree import OctreeNode, subvoxel_grid_per_axis
+
+    pts = cloud.points
+    g = subvoxel_grid_per_axis(cfg.reps_per_node)
+
+    def reps_of(points, bounds):
+        ext = np.maximum(bounds.extent(), 1e-300)
+        cell = np.floor((points - bounds.min) / ext * g).astype(np.int64)
+        np.clip(cell, 0, g - 1, out=cell)
+        flat = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
+        reps = []
+        for cell_id in np.unique(flat):
+            members = points[flat == cell_id]
+            mean = members.mean(axis=0)
+            sq_dev = np.square(members - mean).sum(axis=1)
+            reps.append((mean, members.shape[0], float(sq_dev.mean())))
+        return reps
+
+    def build(indices, bounds, depth):
+        count = indices.shape[0]
+        node = OctreeNode(bounds, depth, count, reps_of(pts[indices], bounds))
+        if count <= cfg.leaf_capacity or depth >= cfg.max_depth:
+            node.point_indices = indices
+            return node
+        center = 0.5 * (bounds.min + bounds.max)
+        sub = pts[indices]
+        octant = (
+            (sub[:, 0] >= center[0]).astype(np.int64) * 4
+            + (sub[:, 1] >= center[1]).astype(np.int64) * 2
+            + (sub[:, 2] >= center[2]).astype(np.int64)
+        )
+        for code in range(8):
+            child_idx = indices[octant == code]
+            if child_idx.shape[0] == 0:
+                continue
+            lo = bounds.min.copy()
+            hi = bounds.max.copy()
+            for axis, bit in enumerate((4, 2, 1)):
+                if code & bit:
+                    lo[axis] = center[axis]
+                else:
+                    hi[axis] = center[axis]
+            node.children.append(build(child_idx, AABB(lo, hi), depth + 1))
+        return node
+
+    return build(np.arange(len(cloud), dtype=np.int64), cloud.aabb().expanded_to_cube(), 0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.shapedist import (
     KINDS,
     SDConfig,
+    _all_combinations,
     _gaussian_bin_mass,
     exact_sd,
     hsd,
@@ -252,6 +254,16 @@ def test_vote_mass_conservation_with_clamping():
         weight = rng.uniform(0.1, 4.0)
         out = one_gaussian(h, mu, sigma2, weight)
         assert out.sum() == pytest.approx(weight, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_all_combinations_match_itertools(r):
+    for n in range(31):
+        got = _all_combinations(n, r)
+        expected = np.array(list(itertools.combinations(range(n), r)), dtype=np.int64)
+        assert got.dtype == np.int64
+        assert got.shape == (math.comb(n, r), r)
+        assert np.array_equal(got, expected.reshape(-1, r))
 
 
 # ---------------------------------------------------------------------------
