@@ -1,7 +1,9 @@
 """Golden CLI outputs: sha256 of every file written by a fixed-seed run.
 
 The roi and features digests were recorded from the code before the xyz
-reader and the ROI tile features were vectorized, the spin digests from the
+reader and the ROI tile features were vectorized, the roi threshold digests
+from the per-tile feature objects and the per-tile refinement sort before the
+tiles became one table of arrays, the spin digests from the
 per-point spin-image loop before it became a blocked kernel, the eval and
 align digests from the per-strategy pair loops and the O(n^3) set scan before
 one EMD pass and Kruskal merging replaced them, the hsd features digest from
@@ -23,6 +25,10 @@ from lidarshape.synth import make_object, make_scene
 ROI_DIGESTS = {
     "mask.pgm": "13894f8432aadb32513c98cdb2930eaed52b41ca8490e058565dda4f654abe65",
     "roi.csv": "acfd6d1af132b3d89994573fd498b0afdecd3fcce7b6146e3d0f02f2a0e46ab1",
+}
+ROI_TAU_DIGESTS = {
+    "mask.pgm": "55d38412dfc88588336708342d0fc9fc217dd7f318ba1cd3790c386e57df0df8",
+    "roi.csv": "ff96a4fd7188de90c63a1b0ce40ab394cd32b7be1996b800103fdee8b1d83011",
 }
 FEATURES_DIGESTS = {
     "features_box.csv": "49a74d148a66fa85b262baed710ab2623aa7eab15d5ec8116d3efae7b8e58186",
@@ -83,6 +89,16 @@ def test_roi_outputs_match_golden(tmp_path):
     code = main(["roi", str(tmp_path / "scene.xyz"), "--refine-k", "5", "--out", str(out)])
     assert code == 0
     assert _digests(out) == ROI_DIGESTS
+
+
+def test_roi_threshold_outputs_match_golden(tmp_path):
+    # the threshold path (d <= tau): 4 of the 8 basic candidates are refined
+    scene = make_scene(seed=0, extent_tiles=20).scene
+    save_cloud(scene, tmp_path / "scene.xyz")
+    out = tmp_path / "roi"
+    argv = ["roi", str(tmp_path / "scene.xyz"), "--refine-tau", "0.6", "--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out) == ROI_TAU_DIGESTS
 
 
 def test_features_outputs_match_golden(tmp_path):
