@@ -172,22 +172,20 @@ def cmd_roi(args) -> int:
     kept = roi.basic_filter(
         feats, cfg.roi_min_points, (cfg.roi_min_height, cfg.roi_max_height)
     )
-    stages = {tile: "occupied" for tile in grid.occupied()}
-    stages.update({tile: "basic" for tile in kept})
+    stage = np.zeros(len(grid.cells), dtype=np.int64)  # indices into roi.STAGES
+    stage[kept] = 1
 
-    if (args.refine_k is not None or args.refine_tau is not None) and kept:
-        model = roi.train_class_model([feats[t] for t in kept], "roi")
+    if (args.refine_k is not None or args.refine_tau is not None) and kept.size:
+        model = roi.train_class_model(feats.vectors()[kept])
         if args.refine_k is not None:
             model = model.with_k_nearest(args.refine_k)
         else:
             model = model.with_threshold(args.refine_tau)
-        for tile in roi.refine_roi(kept, feats, model):
-            stages[tile] = "refined"
+        stage[roi.refine_roi(kept, feats, model)] = 2
 
-    roi.write_roi_csv(grid, feats, stages, out / "roi.csv")
-    roi.write_roi_pgm(grid, stages, out / "mask.pgm")
-    n_kept = sum(1 for s in stages.values() if s != "occupied")
-    print(f"{len(stages)} occupied tiles, {n_kept} candidates -> {out}")
+    roi.write_roi_csv(grid, feats, stage, out / "roi.csv")
+    roi.write_roi_pgm(grid, stage, out / "mask.pgm")
+    print(f"{len(stage)} occupied tiles, {np.count_nonzero(stage)} candidates -> {out}")
     return 0
 
 
@@ -329,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roi", help="candidate tile detection")
     common(p)
     p.add_argument("scene", help="scene cloud (.xyz/.ply)")
-    p.add_argument("--refine-k", type=int, default=None, help="keep K nearest tiles")
-    p.add_argument("--refine-tau", type=float, default=None, help="distance threshold")
+    refine = p.add_mutually_exclusive_group()
+    refine.add_argument("--refine-k", type=int, default=None, help="keep K nearest tiles")
+    refine.add_argument("--refine-tau", type=float, default=None, help="distance threshold")
     p.set_defaults(func=cmd_roi)
 
     p = sub.add_parser("align", help="group alignment")

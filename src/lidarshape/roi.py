@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,57 +24,41 @@ HEIGHT_RANGE_MAX = 10.0  # meters; taller returns clamp into the top bin
 # width x height above this is refused before anything is sized by it: one
 # far outlier would otherwise ask the mask for ~1e8 cells at 1 m tiles
 MAX_GRID_CELLS = 50_000_000
+# kept_by_stage values; a tile's stage is its index here
+STAGES = ("occupied", "basic", "refined")
 
 
 @dataclass(frozen=True)
 class TileGrid:
+    """Occupied tiles as one table, one row per tile in ascending
+    (tile_x, tile_y) order."""
+
     origin: Tuple[float, float]
     tile_size: float
     width: int
     height: int
-    cells: Dict[Tuple[int, int], np.ndarray]  # tile -> point indices
+    cells: np.ndarray  # (tiles, 2) int64 tile_x, tile_y
+    order: np.ndarray  # point indices grouped by tile, each tile in index order
+    counts: np.ndarray  # points per tile
 
-    def tile_of(self, x: float, y: float) -> Tuple[int, int]:
-        return (
-            int(math.floor((x - self.origin[0]) / self.tile_size)),
-            int(math.floor((y - self.origin[1]) / self.tile_size)),
-        )
-
-    def tile_center(self, tile: Tuple[int, int]) -> Tuple[float, float]:
-        return (
-            self.origin[0] + (tile[0] + 0.5) * self.tile_size,
-            self.origin[1] + (tile[1] + 0.5) * self.tile_size,
-        )
-
-    def occupied(self) -> List[Tuple[int, int]]:
-        return sorted(self.cells)
+    def centers(self) -> np.ndarray:
+        return np.asarray(self.origin) + (self.cells + 0.5) * self.tile_size
 
 
 @dataclass(frozen=True)
-class TileFeature:
-    point_count: int
-    max_height: float  # above the tile's ground estimate
-    min_height: float
-    height_histogram: Histogram1D
-    density: float  # points per square meter
+class TileFeatures:
+    """Per-tile feature columns, one row per row of the grid's `cells`."""
 
-    @staticmethod
-    def empty() -> "TileFeature":
-        return TileFeature(
-            point_count=0,
-            max_height=0.0,
-            min_height=0.0,
-            height_histogram=Histogram1D.empty(0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS),
-            density=0.0,
-        )
+    point_count: np.ndarray
+    max_height: np.ndarray  # above the tile's ground estimate
+    min_height: np.ndarray
+    height_mass: np.ndarray  # (tiles, HEIGHT_BINS), each row sums to 1
+    density: np.ndarray  # points per square meter
 
-    def vector(self) -> np.ndarray:
+    def vectors(self) -> np.ndarray:
         """Scalars then the 16 histogram bins; the class-model coordinate space."""
-        return np.concatenate(
-            [
-                [self.point_count, self.max_height, self.min_height, self.density],
-                self.height_histogram.mass,
-            ]
+        return np.column_stack(
+            [self.point_count, self.max_height, self.min_height, self.density, self.height_mass]
         )
 
 
@@ -94,38 +78,35 @@ def build_grid(scene: PointCloud, tile_size: float = 1.0) -> TileGrid:
             f"scene extent {extent[0]:.9g} x {extent[1]:.9g} at tile size {tile_size:g} "
             f"needs {width:.9g} x {height:.9g} tiles, more than {MAX_GRID_CELLS} cells"
         )
-    width, height = int(width), int(height)
     ix = np.floor((pts[:, 0] - ox) / tile_size).astype(np.int64)
     iy = np.floor((pts[:, 1] - oy) / tile_size).astype(np.int64)
     order = np.lexsort((iy, ix))
-    cells: Dict[Tuple[int, int], np.ndarray] = {}
     sorted_ix, sorted_iy = ix[order], iy[order]
-    boundaries = np.nonzero(
-        (np.diff(sorted_ix) != 0) | (np.diff(sorted_iy) != 0)
-    )[0] + 1
-    for chunk in np.split(order, boundaries):
-        key = (int(ix[chunk[0]]), int(iy[chunk[0]]))
-        cells[key] = chunk
+    new_tile = (np.diff(sorted_ix) != 0) | (np.diff(sorted_iy) != 0)
+    starts = np.concatenate([[0], np.flatnonzero(new_tile) + 1])
     return TileGrid(
-        origin=(ox, oy), tile_size=tile_size, width=width, height=height, cells=cells
+        origin=(ox, oy),
+        tile_size=tile_size,
+        width=int(width),
+        height=int(height),
+        cells=np.column_stack([sorted_ix[starts], sorted_iy[starts]]),
+        order=order,
+        counts=np.diff(starts, append=order.shape[0]),
     )
 
 
-def tile_features(grid: TileGrid, scene: PointCloud) -> Dict[Tuple[int, int], TileFeature]:
-    """Per-tile features for every occupied tile (empty tiles read as
-    TileFeature.empty()). Ground estimate is the tile's 5th percentile z;
-    heights are relative to it.
+def tile_features(grid: TileGrid, scene: PointCloud) -> TileFeatures:
+    """Features of every occupied tile. Ground estimate is the tile's 5th
+    percentile z; heights are relative to it.
 
     All tiles are computed together: one sort by (tile, z) puts each tile's
     heights in a sorted segment, and one bincount over (tile, bin) gives
     every height histogram.
     """
-    if not grid.cells:
-        return {}
-    counts = np.array([idx.shape[0] for idx in grid.cells.values()])
+    counts = grid.counts
     n_tiles = counts.shape[0]
     tile_ids = np.repeat(np.arange(n_tiles), counts)
-    z = scene.points[np.concatenate(list(grid.cells.values())), 2]
+    z = scene.points[grid.order, 2]
     z = z[np.lexsort((z, tile_ids))]  # tile_ids is nondecreasing, so it stays aligned
     starts = np.cumsum(counts) - counts
     # np.percentile over a (tiles, n) block of equal-size tiles gives each
@@ -141,33 +122,24 @@ def tile_features(grid: TileGrid, scene: PointCloud) -> Dict[Tuple[int, int], Ti
         tile_ids * HEIGHT_BINS + bins, minlength=n_tiles * HEIGHT_BINS
     ).reshape(-1, HEIGHT_BINS) / counts[:, None]
     # z is sorted within each tile, so its ends hold the extreme heights
-    max_height = heights[starts + counts - 1].tolist()
-    min_height = heights[starts].tolist()
-    area = grid.tile_size**2
-    return {
-        tile: TileFeature(
-            point_count=n,
-            max_height=max_height[i],
-            min_height=min_height[i],
-            height_histogram=Histogram1D(0.0, HEIGHT_RANGE_MAX, mass[i]),
-            density=n / area,
-        )
-        for i, (tile, n) in enumerate(zip(grid.cells, counts.tolist()))
-    }
+    return TileFeatures(
+        point_count=counts,
+        max_height=heights[starts + counts - 1],
+        min_height=heights[starts],
+        height_mass=mass,
+        density=counts / grid.tile_size**2,
+    )
 
 
 def basic_filter(
-    features: Dict[Tuple[int, int], TileFeature],
+    features: TileFeatures,
     min_points: int = 20,
     height_range: Tuple[float, float] = (0.3, HEIGHT_RANGE_MAX),
-) -> List[Tuple[int, int]]:
-    """Keep tiles with enough points and a plausible object height."""
+) -> np.ndarray:
+    """Rows of the tiles with enough points and a plausible object height."""
     lo, hi = height_range
-    return sorted(
-        tile
-        for tile, feat in features.items()
-        if feat.point_count >= min_points and lo <= feat.max_height <= hi
-    )
+    h = features.max_height
+    return np.flatnonzero((features.point_count >= min_points) & (lo <= h) & (h <= hi))
 
 
 @dataclass(frozen=True)
@@ -176,85 +148,73 @@ class ClassModel:
     tile-feature vector, with either a distance threshold or a K-nearest
     acceptance rule."""
 
-    name: str
     center: np.ndarray
     scale: np.ndarray
     threshold: Optional[float] = 2.0
     k_nearest: Optional[int] = None
 
-    def distance(self, feat: TileFeature) -> float:
-        z = (feat.vector() - self.center) / self.scale
-        return float(np.sqrt(np.mean(np.square(z))))
+    def distances(self, vectors: np.ndarray) -> np.ndarray:
+        z = (vectors - self.center) / self.scale
+        return np.sqrt(np.mean(np.square(z), axis=1))
 
     def with_k_nearest(self, k: int) -> "ClassModel":
+        if k < 0:
+            raise ValueError(f"k nearest must be non-negative, got {k}")
         return replace(self, threshold=None, k_nearest=k)
 
     def with_threshold(self, tau: float) -> "ClassModel":
+        if math.isnan(tau):
+            raise ValueError("distance threshold must be a number, got nan")
         return replace(self, threshold=tau, k_nearest=None)
 
 
-def train_class_model(
-    positive_tiles: Sequence[TileFeature],
-    name: str,
-    threshold: Optional[float] = 2.0,
-    k_nearest: Optional[int] = None,
-) -> ClassModel:
-    """Cluster center = componentwise mean of the positive tile vectors;
-    per-coordinate scale = standard deviation floored at 1e-6 so count-like
-    coordinates cannot dominate the distance."""
-    if not positive_tiles:
+def train_class_model(vectors: np.ndarray) -> ClassModel:
+    """Cluster center = componentwise mean of the positive tile vectors
+    (rows); per-coordinate scale = standard deviation floored at 1e-6 so
+    count-like coordinates cannot dominate the distance."""
+    if len(vectors) == 0:
         raise ValueError("need at least one positive tile")
-    vectors = np.stack([t.vector() for t in positive_tiles])
-    center = vectors.mean(axis=0)
-    scale = np.maximum(vectors.std(axis=0), 1e-6)
-    return ClassModel(
-        name=name, center=center, scale=scale, threshold=threshold, k_nearest=k_nearest
-    )
+    return ClassModel(center=vectors.mean(axis=0), scale=np.maximum(vectors.std(axis=0), 1e-6))
 
 
 def refine_roi(
-    candidates: Sequence[Tuple[int, int]],
-    features: Dict[Tuple[int, int], TileFeature],
-    model: ClassModel,
-) -> List[Tuple[int, int]]:
+    candidate_rows: np.ndarray, features: TileFeatures, model: ClassModel
+) -> np.ndarray:
     """Threshold mode keeps candidates within `threshold` normalized units of
     the class center; K-nearest mode keeps the K closest (ties by tile
-    index). Output is always a subset of the candidates."""
-    scored = sorted(
-        (model.distance(features[tile]), tile) for tile in candidates
-    )
+    index). Returns the kept rows in tile order, a subset of the candidates."""
+    rows = np.asarray(candidate_rows, dtype=np.int64)
+    d = model.distances(features.vectors()[rows])
     if model.k_nearest is not None:
-        return sorted(tile for _, tile in scored[: model.k_nearest])
+        # rows are in tile order, so lexsort breaks distance ties by tile
+        return np.sort(rows[np.lexsort((rows, d))[: model.k_nearest]])
     if model.threshold is None:
         raise ValueError("class model has neither threshold nor k_nearest set")
-    return sorted(tile for d, tile in scored if d <= model.threshold)
+    return np.sort(rows[d <= model.threshold])
 
 
-def write_roi_csv(
-    grid: TileGrid,
-    features: Dict[Tuple[int, int], TileFeature],
-    stages: Dict[Tuple[int, int], str],
-    path,
-) -> None:
-    """CSV of every occupied tile with the last pipeline stage it survived."""
+def write_roi_csv(grid: TileGrid, features: TileFeatures, stage: np.ndarray, path) -> None:
+    """CSV of every occupied tile with the last pipeline stage (an index
+    into STAGES) it survived."""
+    columns = zip(
+        grid.cells[:, 0].tolist(),
+        grid.cells[:, 1].tolist(),
+        *grid.centers().T.tolist(),
+        features.point_count.tolist(),
+        features.max_height.tolist(),
+        [STAGES[s] for s in stage.tolist()],
+    )
     with open(path, "w") as fh:
         fh.write("tile_x,tile_y,center_x,center_y,point_count,max_height,kept_by_stage\n")
-        for tile in grid.occupied():
-            cx, cy = grid.tile_center(tile)
-            feat = features[tile]
-            fh.write(
-                f"{tile[0]},{tile[1]},{cx:.9g},{cy:.9g},"
-                f"{feat.point_count},{feat.max_height:.9g},{stages[tile]}\n"
-            )
+        for tx, ty, cx, cy, n, max_h, name in columns:
+            fh.write(f"{tx},{ty},{cx:.9g},{cy:.9g},{n},{max_h:.9g},{name}\n")
 
 
-def write_roi_pgm(grid: TileGrid, stages: Dict[Tuple[int, int], str], path) -> None:
+def write_roi_pgm(grid: TileGrid, stage: np.ndarray, path) -> None:
     """Occupancy/ROI mask: brighter means the tile survived further
     (empty 0, occupied 85, basic 170, refined 255). Row 0 is tile_y 0."""
-    levels = {"occupied": 85, "basic": 170, "refined": 255}
     img = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    for tile, stage in stages.items():
-        img[tile[1], tile[0]] = levels[stage]
+    img[grid.cells[:, 1], grid.cells[:, 0]] = 85 * (np.asarray(stage) + 1)
     with open(path, "w") as fh:
         fh.write(f"P2\n{grid.width} {grid.height}\n255\n")
         for row in img.tolist():

@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own code paths: the point is to check
 the closed-form implementations against brute force. The loop references
-(`tile_features_per_tile`, `load_xyz_line_by_line`, `spin_image_per_point`,
-`distance_matrix_per_pair`, `single_linkage_scan`, `build_octree_recursive`)
-are the plain per-item versions that the vectorized library code must match
-bit for bit.
+(`build_grid_cells_dict`, `tile_features_per_tile`, `refine_roi_per_tile`,
+`load_xyz_line_by_line`, `spin_image_per_point`, `distance_matrix_per_pair`,
+`single_linkage_scan`, `build_octree_recursive`) are the plain per-item
+versions that the vectorized library code must match bit for bit.
 """
 
 import itertools
@@ -49,27 +49,56 @@ def brute_force_histogram(points, kind, lo, hi, bins):
     return mass / mass.sum()
 
 
-def tile_features_per_tile(grid, scene):
-    """ROI tile features computed one tile at a time, as a plain loop."""
-    from lidarshape.core import Histogram1D
-    from lidarshape.roi import HEIGHT_BINS, HEIGHT_RANGE_MAX, TileFeature
+def build_grid_cells_dict(scene, tile_size):
+    """ROI tile membership as a dict tile -> point indices, one `np.split`
+    chunk per tile, in ascending (tile_x, tile_y) order."""
+    pts = scene.points
+    ix = np.floor((pts[:, 0] - pts[:, 0].min()) / tile_size).astype(np.int64)
+    iy = np.floor((pts[:, 1] - pts[:, 1].min()) / tile_size).astype(np.int64)
+    order = np.lexsort((iy, ix))
+    boundaries = np.nonzero(
+        (np.diff(ix[order]) != 0) | (np.diff(iy[order]) != 0)
+    )[0] + 1
+    return {
+        (int(ix[chunk[0]]), int(iy[chunk[0]])): chunk
+        for chunk in np.split(order, boundaries)
+    }
 
-    out = {}
+
+def tile_features_per_tile(grid, scene):
+    """ROI tile features computed one tile at a time, as a plain loop: one
+    (point_count, max_height, min_height, height mass, density) tuple per
+    row of `grid.cells`."""
+    from lidarshape.core import Histogram1D
+    from lidarshape.roi import HEIGHT_BINS, HEIGHT_RANGE_MAX
+
+    out = []
     area = grid.tile_size**2
-    for tile, idx in grid.cells.items():
+    end = 0
+    for n in grid.counts.tolist():
+        idx = grid.order[end:end + n]
+        end += n
         z = scene.points[idx, 2]
         ground = float(np.percentile(z, 5))
         heights = z - ground
-        out[tile] = TileFeature(
-            point_count=int(idx.shape[0]),
-            max_height=float(heights.max()),
-            min_height=float(heights.min()),
-            height_histogram=Histogram1D.from_values(
-                heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS
-            ),
-            density=idx.shape[0] / area,
-        )
+        hist = Histogram1D.from_values(heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS)
+        out.append((n, float(heights.max()), float(heights.min()), hist.mass, n / area))
     return out
+
+
+def refine_roi_per_tile(candidate_rows, per_tile, model):
+    """ROI refinement one candidate at a time: each tile's distance to the
+    class center, then `sorted((d, row))`; `per_tile` holds the tuples of
+    `tile_features_per_tile`."""
+    scored = []
+    for row in candidate_rows:
+        n, max_h, min_h, mass, density = per_tile[row]
+        z = (np.concatenate([[n, max_h, min_h, density], mass]) - model.center) / model.scale
+        scored.append((float(np.sqrt(np.mean(np.square(z)))), row))
+    scored.sort()
+    if model.k_nearest is not None:
+        return sorted(row for _, row in scored[: model.k_nearest])
+    return sorted(row for d, row in scored if d <= model.threshold)
 
 
 def load_xyz_line_by_line(path):

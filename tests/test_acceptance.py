@@ -300,7 +300,7 @@ def test_roi_recall_ten_scenes_and_k_nearest():
         planted = make_scene(seed=1000 + seed)
         grid = build_grid(planted.scene, tile_size=planted.tile_size)
         feats = tile_features(grid, planted.scene)
-        kept = set(basic_filter(feats))
+        kept = {tuple(tile) for tile in grid.cells[basic_filter(feats)].tolist()}
         total += len(planted.object_tiles)
         missed += sum(1 for tile in planted.object_tiles if tile not in kept)
     recall_ok = missed == 0
@@ -310,7 +310,7 @@ def test_roi_recall_ten_scenes_and_k_nearest():
     grid = build_grid(planted.scene, tile_size=planted.tile_size)
     feats = tile_features(grid, planted.scene)
     candidates = basic_filter(feats)
-    model = train_class_model([feats[t] for t in candidates], "obj")
+    model = train_class_model(feats.vectors()[candidates])
     k_ok = True
     for k in (1, 3, len(candidates), len(candidates) + 50):
         kept = refine_roi(candidates, feats, model.with_k_nearest(k))

@@ -201,6 +201,24 @@ def test_roi_refine_k(tmp_path):
     assert len(refined) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--refine-k", "-1"], "k nearest must be non-negative, got -1"),
+        (["--refine-tau", "nan"], "distance threshold must be a number, got nan"),
+        (["--refine-k", "5", "--refine-tau", "1"], "not allowed with argument"),
+    ],
+)
+def test_roi_hostile_refinement_exits_2(tmp_path, capsys, flags, message):
+    planted = make_scene(seed=17, extent_tiles=8, n_objects=5)
+    scene_path = tmp_path / "scene.xyz"
+    save_cloud(planted.scene, scene_path)
+    out = tmp_path / "roi"
+    assert main(["roi", str(scene_path), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "roi.csv").exists()
+
+
 def test_roi_far_outlier_exits_2_without_allocating_the_grid(tmp_path, capsys):
     # ~1e4 tiles apart on both axes: ~1e8 cells, about 800 MB as an int64 mask
     scene_path = tmp_path / "outlier.xyz"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from lidarshape.core import PointCloud
 from lidarshape.roi import (
     HEIGHT_RANGE_MAX,
     MAX_GRID_CELLS,
-    ClassModel,
-    TileFeature,
+    STAGES,
+    TileFeatures,
     basic_filter,
     build_grid,
     refine_roi,
@@ -20,7 +22,7 @@ from lidarshape.roi import (
 )
 from lidarshape.synth import make_scene
 
-from _oracles import tile_features_per_tile
+from _oracles import build_grid_cells_dict, refine_roi_per_tile, tile_features_per_tile
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +34,7 @@ def test_single_tile_scene():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 0.99, size=(50, 3))
     grid = build_grid(PointCloud(pts), tile_size=1.0)
-    assert grid.occupied() == [(0, 0)]
+    assert grid.cells.tolist() == [[0, 0]]
     assert grid.width == 1 and grid.height == 1
 
 
@@ -40,22 +42,19 @@ def test_boundary_point_goes_to_higher_tile():
     # origin anchors at the min corner (0, 0); x = 1.0 sits on the boundary
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [1.5, 0.5, 0.0]])
     grid = build_grid(PointCloud(pts), tile_size=1.0)
-    assert set(grid.occupied()) == {(0, 0), (1, 0)}
-    assert grid.cells[(1, 0)].shape[0] == 2  # x=1.0 lands in the higher tile
+    assert grid.cells.tolist() == [[0, 0], [1, 0]]
+    assert grid.counts[1] == 2  # x=1.0 lands in the higher tile
 
 
 def test_point_conservation_random_scene():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-7, 13, size=(5_000, 3))
     grid = build_grid(PointCloud(pts), tile_size=1.7)
-    total = sum(idx.shape[0] for idx in grid.cells.values())
-    assert total == 5_000
-    seen = np.concatenate(list(grid.cells.values()))
-    assert np.array_equal(np.sort(seen), np.arange(5_000))
-    # every point maps to the tile holding it
-    for tile, idx in grid.cells.items():
-        for i in idx[:3]:
-            assert grid.tile_of(pts[i, 0], pts[i, 1]) == tile
+    assert grid.counts.sum() == 5_000
+    assert np.array_equal(np.sort(grid.order), np.arange(5_000))
+    # every point is grouped under the tile whose floor cell holds it
+    tile_of = np.floor((pts[grid.order, :2] - grid.origin) / grid.tile_size)
+    assert np.array_equal(tile_of, np.repeat(grid.cells, grid.counts, axis=0))
 
 
 @pytest.mark.parametrize("tile_size", [0.0, -1.0, float("nan")])
@@ -77,21 +76,12 @@ def test_grid_at_cap_is_built():
     pts = np.array([[0.0, 0.0, 0.0], [side - 0.5, 9_999.5, 1.0]])
     grid = build_grid(PointCloud(pts), tile_size=1.0)
     assert (grid.width, grid.height) == (side, 10_000)
-    assert grid.occupied() == [(0, 0), (side - 1, 9_999)]
+    assert grid.cells.tolist() == [[0, 0], [side - 1, 9_999]]
 
 
 # ---------------------------------------------------------------------------
 # tile_features
 # ---------------------------------------------------------------------------
-
-
-def test_empty_tile_feature_is_zero():
-    feat = TileFeature.empty()
-    assert feat.point_count == 0
-    assert feat.max_height == 0.0
-    assert feat.density == 0.0
-    assert feat.height_histogram.total() == 0.0
-    assert feat.vector().shape == (4 + 16,)
 
 
 def test_vertical_pole_feature():
@@ -106,24 +96,55 @@ def test_vertical_pole_feature():
     )
     grid = build_grid(PointCloud(pts), tile_size=1.0)
     feats = tile_features(grid, PointCloud(pts))
-    feat = feats[(0, 0)]
-    assert feat.point_count == n
-    assert feat.max_height == pytest.approx(5.0, abs=0.3)
-    occupied_bins = np.nonzero(feat.height_histogram.mass)[0]
+    assert feats.point_count.tolist() == [n]
+    assert feats.max_height[0] == pytest.approx(5.0, abs=0.3)
+    assert feats.vectors().shape == (1, 4 + 16)
+    occupied_bins = np.nonzero(feats.height_mass[0])[0]
     assert occupied_bins.max() >= 7  # mass spread up to ~5 m (bin width 0.625)
 
 
-def assert_features_bitwise_equal(grid, scene):
-    got = tile_features(grid, scene)
+def rows_of(table, rows):
+    """The table's rows `rows`, in that order, as a new table."""
+    return TileFeatures(*(getattr(table, f.name)[rows] for f in fields(TileFeatures)))
+
+
+def assert_refine_matches_oracle(candidates, feats, per_tile):
+    model = train_class_model(feats.vectors()[candidates])
+    rules = [model.with_k_nearest(k) for k in (0, 1, 2, len(candidates) + 1)]
+    rules += [model.with_threshold(tau) for tau in (0.0, 0.5, 1.0, 2.0, np.inf)]
+    for rule in rules:
+        got = refine_roi(candidates, feats, rule)
+        assert got.tolist() == refine_roi_per_tile(candidates.tolist(), per_tile, rule)
+
+
+def assert_table_matches_oracles(scene, tile_size, min_points=20, height_range=(0.3, 10.0)):
+    grid = build_grid(scene, tile_size)
+    cells = build_grid_cells_dict(scene, tile_size)
+    assert grid.cells.tolist() == [list(tile) for tile in cells]
+    assert grid.order.tobytes() == np.concatenate(list(cells.values())).tobytes()
+    assert grid.counts.tolist() == [idx.shape[0] for idx in cells.values()]
+
+    feats = tile_features(grid, scene)
     want = tile_features_per_tile(grid, scene)
-    assert list(got) == list(want)
-    for tile, w in want.items():
-        g = got[tile]
-        assert g.point_count == w.point_count
-        assert g.max_height == w.max_height
-        assert g.min_height == w.min_height
-        assert g.density == w.density
-        assert g.height_histogram.mass.tobytes() == w.height_histogram.mass.tobytes()
+    count, max_h, min_h, mass, density = (np.array(col) for col in zip(*want))
+    assert feats.point_count.tolist() == count.tolist()
+    assert feats.max_height.tobytes() == max_h.tobytes()
+    assert feats.min_height.tobytes() == min_h.tobytes()
+    assert feats.density.tobytes() == density.tobytes()
+    assert feats.height_mass.tobytes() == mass.tobytes()
+
+    lo, hi = height_range
+    rows = basic_filter(feats, min_points, height_range)
+    assert rows.tolist() == [
+        i for i, (n, h, *_) in enumerate(want) if n >= min_points and lo <= h <= hi
+    ]
+    if rows.size:
+        assert_refine_matches_oracle(rows, feats, want)
+    # every tile twice: equal distances must still break ties by row
+    twice = np.repeat(np.arange(len(want)), 2)
+    assert_refine_matches_oracle(
+        np.arange(twice.shape[0]), rows_of(feats, twice), [want[i] for i in twice]
+    )
 
 
 def test_tile_features_match_per_tile_loop_on_edge_cases():
@@ -140,7 +161,7 @@ def test_tile_features_match_per_tile_loop_on_edge_cases():
     )
     scene = PointCloud(pts)
     for tile_size in (1.0, 0.37, 2.5):
-        assert_features_bitwise_equal(build_grid(scene, tile_size), scene)
+        assert_table_matches_oracles(scene, tile_size)
 
 
 _coords = st.one_of(
@@ -155,12 +176,14 @@ _heights = st.one_of(
 @given(
     xy=arrays(np.float64, st.tuples(st.integers(1, 150), st.just(2)), elements=_coords),
     tile_size=st.sampled_from([1.0, 0.37, 2.5, 7.0]),
+    min_points=st.sampled_from([0, 1, 3, 20]),
+    height_range=st.sampled_from([(0.3, 10.0), (0.0, 0.0), (-np.inf, np.inf), (1.0, 4.0)]),
     data=st.data(),
 )
-def test_tile_features_match_per_tile_loop(xy, tile_size, data):
+def test_tile_features_match_per_tile_loop(xy, tile_size, min_points, height_range, data):
     z = data.draw(arrays(np.float64, xy.shape[0], elements=_heights))
     scene = PointCloud(np.column_stack([xy, z]))
-    assert_features_bitwise_equal(build_grid(scene, tile_size), scene)
+    assert_table_matches_oracles(scene, tile_size, min_points, height_range)
 
 
 def test_density_times_area_is_count():
@@ -168,8 +191,7 @@ def test_density_times_area_is_count():
     pts = rng.uniform(0, 8, size=(2_000, 3))
     grid = build_grid(PointCloud(pts), tile_size=2.0)
     feats = tile_features(grid, PointCloud(pts))
-    for tile, feat in feats.items():
-        assert feat.density * 4.0 == pytest.approx(feat.point_count)
+    assert feats.density * 4.0 == pytest.approx(feats.point_count)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +205,7 @@ def test_basic_filter_permissive_keeps_all_occupied():
     grid = build_grid(PointCloud(pts))
     feats = tile_features(grid, PointCloud(pts))
     kept = basic_filter(feats, min_points=0, height_range=(-np.inf, np.inf))
-    assert kept == grid.occupied()
+    assert kept.tolist() == list(range(len(grid.cells)))
 
 
 def test_basic_filter_rejects_flat_ground():
@@ -193,14 +215,14 @@ def test_basic_filter_rejects_flat_ground():
     )
     grid = build_grid(PointCloud(pts))
     feats = tile_features(grid, PointCloud(pts))
-    assert basic_filter(feats, min_points=20, height_range=(0.3, 10.0)) == []
+    assert basic_filter(feats, min_points=20, height_range=(0.3, 10.0)).size == 0
 
 
 def test_planted_scene_full_recall():
     scene = make_scene(seed=21)
     grid = build_grid(scene.scene, tile_size=scene.tile_size)
     feats = tile_features(grid, scene.scene)
-    kept = basic_filter(feats)
+    kept = {tuple(tile) for tile in grid.cells[basic_filter(feats)].tolist()}
     for tile in scene.object_tiles:
         assert tile in kept
 
@@ -215,50 +237,56 @@ def tile_from_vector(count, max_h, rng):
         [rng.uniform(0, 1, count), rng.uniform(0, 1, count), rng.uniform(0, max_h, count)]
     )
     grid = build_grid(PointCloud(pts), tile_size=1.0)
-    return tile_features(grid, PointCloud(pts))[(0, 0)]
+    return tile_features(grid, PointCloud(pts))
+
+
+def stack(tiles):
+    """Single-tile tables as one table, row i from tiles[i]."""
+    return TileFeatures(
+        *(np.concatenate([getattr(t, f.name) for t in tiles]) for f in fields(TileFeatures))
+    )
 
 
 def test_single_training_tile_center_is_itself():
     rng = np.random.default_rng(17)
-    tile = tile_from_vector(40, 1.5, rng)
-    model = train_class_model([tile], "car")
-    assert np.allclose(model.center, tile.vector())
-    assert model.distance(tile) == 0.0
+    tile = tile_from_vector(40, 1.5, rng).vectors()
+    model = train_class_model(tile)
+    assert np.allclose(model.center, tile[0])
+    assert model.distances(tile)[0] == 0.0
 
 
 def test_duplicated_training_set_same_center():
     rng = np.random.default_rng(19)
-    tiles = [tile_from_vector(40, 1.5, rng) for _ in range(4)]
-    m1 = train_class_model(tiles, "car")
-    m2 = train_class_model(tiles * 3, "car")
+    vectors = stack([tile_from_vector(40, 1.5, rng) for _ in range(4)]).vectors()
+    m1 = train_class_model(vectors)
+    m2 = train_class_model(np.vstack([vectors] * 3))
     assert np.allclose(m1.center, m2.center, atol=1e-12)
 
 
 def test_center_matches_brute_force_mean():
     rng = np.random.default_rng(23)
     tiles = [tile_from_vector(int(c), h, rng) for c, h in [(30, 1.0), (50, 2.0), (40, 1.4)]]
-    model = train_class_model(tiles, "x")
-    brute = sum(t.vector() for t in tiles) / 3
+    model = train_class_model(stack(tiles).vectors())
+    brute = sum(t.vectors()[0] for t in tiles) / 3
     assert np.abs(model.center - brute).max() < 1e-12
 
 
 def test_refine_k_nearest_exact_count():
     rng = np.random.default_rng(29)
-    tiles = {(i, 0): tile_from_vector(30 + i, 1.0 + 0.1 * i, rng) for i in range(6)}
-    model = train_class_model(list(tiles.values()), "x").with_k_nearest(3)
-    kept = refine_roi(sorted(tiles), tiles, model)
+    feats = stack([tile_from_vector(30 + i, 1.0 + 0.1 * i, rng) for i in range(6)])
+    model = train_class_model(feats.vectors()).with_k_nearest(3)
+    kept = refine_roi(np.arange(6), feats, model)
     assert len(kept) == 3
     big_k = model.with_k_nearest(100)
-    assert refine_roi(sorted(tiles), tiles, big_k) == sorted(tiles)
+    assert refine_roi(np.arange(6), feats, big_k).tolist() == list(range(6))
 
 
 def test_refine_threshold_zero_keeps_only_center():
     rng = np.random.default_rng(31)
     a = tile_from_vector(30, 1.0, rng)
     b = tile_from_vector(60, 3.0, rng)
-    feats = {(0, 0): a, (1, 0): b}
-    model = train_class_model([a], "a").with_threshold(0.0)
-    assert refine_roi([(0, 0), (1, 0)], feats, model) == [(0, 0)]
+    model = train_class_model(a.vectors()).with_threshold(0.0)
+    assert refine_roi(np.array([0, 1]), stack([a, b]), model).tolist() == [0]
 
 
 def test_refine_separates_planted_classes():
@@ -267,25 +295,22 @@ def test_refine_separates_planted_classes():
     rng = np.random.default_rng(37)
     class_a = [tile_from_vector(int(rng.integers(35, 45)), rng.uniform(1.0, 1.4), rng) for _ in range(30)]
     class_b = [tile_from_vector(int(rng.integers(100, 140)), rng.uniform(4.5, 6.0), rng) for _ in range(30)]
-    model = train_class_model(class_a, "a")  # default threshold 2.0
+    model = train_class_model(stack(class_a).vectors())  # default threshold 2.0
 
-    feats = {}
-    for i, t in enumerate(class_a + class_b):
-        feats[(i, 0)] = t
-    kept = refine_roi(sorted(feats), feats, model)
-    kept_a = sum(1 for (i, _) in kept if i < 30)
-    kept_b = sum(1 for (i, _) in kept if i >= 30)
+    kept = refine_roi(np.arange(60), stack(class_a + class_b), model)
+    kept_a = np.count_nonzero(kept < 30)
+    kept_b = np.count_nonzero(kept >= 30)
     assert kept_a >= 0.95 * 30
     assert kept_b <= 0.20 * 30
 
 
 def test_refine_output_subset_of_candidates():
     rng = np.random.default_rng(41)
-    tiles = {(i, i): tile_from_vector(30, 1.0, rng) for i in range(5)}
-    model = train_class_model(list(tiles.values()), "x")
-    candidates = sorted(tiles)[:3]
-    kept = refine_roi(candidates, tiles, model)
-    assert set(kept) <= set(candidates)
+    feats = stack([tile_from_vector(30, 1.0, rng) for _ in range(5)])
+    model = train_class_model(feats.vectors())
+    candidates = np.arange(3)
+    kept = refine_roi(candidates, feats, model)
+    assert set(kept.tolist()) <= set(candidates.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +322,18 @@ def test_roi_csv_and_pgm(tmp_path):
     scene = make_scene(seed=43, extent_tiles=6, n_objects=3)
     grid = build_grid(scene.scene, tile_size=1.0)
     feats = tile_features(grid, scene.scene)
-    kept = basic_filter(feats)
-    stages = {t: "occupied" for t in grid.occupied()}
-    stages.update({t: "basic" for t in kept})
+    stage = np.zeros(len(grid.cells), dtype=np.int64)
+    stage[basic_filter(feats)] = 1
 
     csv_path = tmp_path / "roi.csv"
-    write_roi_csv(grid, feats, stages, csv_path)
+    write_roi_csv(grid, feats, stage, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "tile_x,tile_y,center_x,center_y,point_count,max_height,kept_by_stage"
-    assert len(lines) == 1 + len(grid.occupied())
+    assert len(lines) == 1 + len(grid.cells)
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [STAGES[s] for s in stage]
 
     pgm_path = tmp_path / "roi.pgm"
-    write_roi_pgm(grid, stages, pgm_path)
+    write_roi_pgm(grid, stage, pgm_path)
     body = pgm_path.read_text().splitlines()
     assert body[0] == "P2"
     assert body[1] == f"{grid.width} {grid.height}"
