@@ -214,7 +214,7 @@ def write_roi_pgm(grid: TileGrid, stage: np.ndarray, path) -> None:
     """Occupancy/ROI mask: brighter means the tile survived further
     (empty 0, occupied 85, basic 170, refined 255). Row 0 is tile_y 0."""
     img = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    img[grid.cells[:, 1], grid.cells[:, 0]] = 85 * (np.asarray(stage) + 1)
+    img[grid.cells[:, 1], grid.cells[:, 0]] = 85 * (stage + 1)
     with open(path, "w") as fh:
         fh.write(f"P2\n{grid.width} {grid.height}\n255\n")
         for row in img.tolist():

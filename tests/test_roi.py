@@ -103,9 +103,11 @@ def test_vertical_pole_feature():
     assert occupied_bins.max() >= 7  # mass spread up to ~5 m (bin width 0.625)
 
 
-def rows_of(table, rows):
-    """The table's rows `rows`, in that order, as a new table."""
-    return TileFeatures(*(getattr(table, f.name)[rows] for f in fields(TileFeatures)))
+def stack(tables):
+    """Tables as one table, their rows in order."""
+    return TileFeatures(
+        *(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(TileFeatures))
+    )
 
 
 def assert_refine_matches_oracle(candidates, feats, per_tile):
@@ -141,10 +143,7 @@ def assert_table_matches_oracles(scene, tile_size, min_points=20, height_range=(
     if rows.size:
         assert_refine_matches_oracle(rows, feats, want)
     # every tile twice: equal distances must still break ties by row
-    twice = np.repeat(np.arange(len(want)), 2)
-    assert_refine_matches_oracle(
-        np.arange(twice.shape[0]), rows_of(feats, twice), [want[i] for i in twice]
-    )
+    assert_refine_matches_oracle(np.arange(2 * len(want)), stack([feats, feats]), want + want)
 
 
 def test_tile_features_match_per_tile_loop_on_edge_cases():
@@ -238,13 +237,6 @@ def tile_from_vector(count, max_h, rng):
     )
     grid = build_grid(PointCloud(pts), tile_size=1.0)
     return tile_features(grid, PointCloud(pts))
-
-
-def stack(tiles):
-    """Single-tile tables as one table, row i from tiles[i]."""
-    return TileFeatures(
-        *(np.concatenate([getattr(t, f.name) for t in tiles]) for f in fields(TileFeatures))
-    )
 
 
 def test_single_training_tile_center_is_itself():
