@@ -8,8 +8,10 @@ per-point spin-image loop before it became a blocked kernel, the eval and
 align digests from the per-strategy pair loops and the O(n^3) set scan before
 one EMD pass and Kruskal merging replaced them, the hsd features digest from
 the recursive octree build with its per-cell rep loop before the build became
-one array pass per depth; any change to the bytes the CLI writes on these
-inputs fails here. If an output is
+one array pass per depth, the default-budget hsd features digest from the
+one-shot vote moments and exact measurements before tuples were measured
+and voted in fixed-size blocks; any change to the bytes the CLI writes on
+these inputs fails here. If an output is
 changed on purpose, record the new digests in the same change and say why.
 """
 
@@ -36,6 +38,10 @@ FEATURES_DIGESTS = {
 
 FEATURES_HSD_DIGESTS = {
     "features_cylinder.csv": "d1c2245b8ea6525f40ac1115d45cce7fe02ee3f2c7cc5fb509a5be4256ab5f97",
+}
+
+FEATURES_HSD_DEFAULT_DIGESTS = {
+    "features_cylinder.csv": "d1104087512a04ee0333daba69ee23491885a3b597a72ad3ae3ddf4eb8e419d7",
 }
 
 SPIN_DIGESTS = {
@@ -127,6 +133,19 @@ def test_features_hsd_outputs_match_golden(tmp_path):
     argv += ["--config", str(tmp_path / "hsd.cfg"), "--out", str(out)]
     assert main(argv) == 0
     assert _digests(out) == FEATURES_HSD_DIGESTS
+
+
+def test_features_hsd_default_budget_outputs_match_golden(tmp_path):
+    """`features --mode hsd` at the default config, as the objects-hsd
+    benchmark runs it: level 3 of a 300-point cylinder holds 127 reps, so
+    D2's 8,001 rep pairs are enumerated and A3, T3 and R3 each vote 200,000
+    sampled tuples, many tuple blocks with a partial last one."""
+    cloud = make_object("cylinder", 300, np.random.default_rng(1))
+    save_cloud(cloud, tmp_path / "cylinder.xyz")
+    out = tmp_path / "features"
+    argv = ["features", str(tmp_path / "cylinder.xyz"), "--mode", "hsd", "--out", str(out)]
+    assert main(argv) == 0
+    assert _digests(out) == FEATURES_HSD_DEFAULT_DIGESTS
 
 
 def test_spin_outputs_match_golden(tmp_path):
