@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,6 +307,20 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def k_nearest(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"k nearest must be non-negative, got {k}")
+    return k
+
+
+def distance_threshold(text: str) -> float:
+    tau = float(text)
+    if math.isnan(tau):
+        raise argparse.ArgumentTypeError("distance threshold must be a number, got nan")
+    return tau
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lidarshape",
@@ -328,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("scene", help="scene cloud (.xyz/.ply)")
     refine = p.add_mutually_exclusive_group()
-    refine.add_argument("--refine-k", type=int, default=None, help="keep K nearest tiles")
-    refine.add_argument("--refine-tau", type=float, default=None, help="distance threshold")
+    # checked by the parser, so also when no tile becomes a candidate
+    refine.add_argument("--refine-k", type=k_nearest, default=None, help="keep K nearest tiles")
+    refine.add_argument(
+        "--refine-tau", type=distance_threshold, default=None, help="distance threshold"
+    )
     p.set_defaults(func=cmd_roi)
 
     p = sub.add_parser("align", help="group alignment")

@@ -13,6 +13,10 @@ the octree's weighted representatives: each rep tuple contributes a Gaussian
 vote whose mean is the measurement at the rep positions and whose variance
 comes from first-order propagation of the reps' isotropic scatter, so one
 vote stands in for `prod(weights)` point tuples.
+
+Both paths keep the whole tuple index table but measure it `VOTE_BLOCK`
+rows at a time, so a call's temporaries (tuple points, crosses, norms,
+gradients) stay one block in size whatever the sample budget.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .octree import OctreeNode, nodes_at_level
 
 KINDS = ("D2", "A3", "T3", "R3")
 ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
+# tuples measured at once by `moment_votes` and `exact_sd`: bounds a call's temporaries
+VOTE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -211,22 +217,28 @@ def moment_votes(
     isotropic scatter through the measurement gradient (delta method). Rows
     whose analytic gradient is undefined (coincident or collinear reps) take
     central differences instead, and terms that stay non-finite are dropped.
+    Rows are measured `VOTE_BLOCK` at a time; every step is per row, so the
+    block size does not change the result.
     """
     arity = _check_kind(kind)
-    parts = [positions[idx[:, i]] for i in range(arity)]
-    mu = measure_many(kind, parts)
-    mags = gradient_magnitudes(kind, parts)
-    sigma2 = np.zeros(idx.shape[0])
-    bad = np.zeros(idx.shape[0], dtype=bool)
-    for slot, g in enumerate(mags):
-        sigma2 += scatters[idx[:, slot]] * np.square(g)
-        bad |= ~np.isfinite(g)
-    for row in np.nonzero(bad)[0]:
-        tuple_pts = np.stack([parts[i][row] for i in range(arity)])
-        cd = _central_difference_mags(kind, tuple_pts)
-        sigma2[row] = sum(
-            scatters[idx[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
-        )
+    mu = np.empty(idx.shape[0])
+    sigma2 = np.empty(idx.shape[0])
+    for start in range(0, idx.shape[0], VOTE_BLOCK):
+        block = idx[start : start + VOTE_BLOCK]
+        parts = [positions[block[:, i]] for i in range(arity)]
+        mu[start : start + VOTE_BLOCK] = measure_many(kind, parts)
+        s2 = sigma2[start : start + VOTE_BLOCK]
+        s2[:] = 0.0
+        bad = np.zeros(block.shape[0], dtype=bool)
+        for slot, g in enumerate(gradient_magnitudes(kind, parts)):
+            s2 += scatters[block[:, slot]] * np.square(g)
+            bad |= ~np.isfinite(g)
+        for row in np.nonzero(bad)[0]:
+            tuple_pts = np.stack([parts[i][row] for i in range(arity)])
+            cd = _central_difference_mags(kind, tuple_pts)
+            s2[row] = sum(
+                scatters[block[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
+            )
     return mu, sigma2
 
 
@@ -265,36 +277,51 @@ def _gaussian_bin_mass(
     half = np.ceil(8.0 * sigma[smooth] / width).astype(np.int64)
     np.clip(half, 1, bins, out=half)
     c_s, mu_s, sig_s, w_s = center[smooth], mu[smooth], sigma[smooth], weight[smooth]
+    # the same bits as lo + i * width for each edge index i
+    edge_values = lo + np.arange(bins + 1) * width
 
     bucket = 1
     while True:
         sel = half <= bucket if bucket < bins else np.ones_like(half, dtype=bool)
         sel &= half > bucket // 2
         if np.any(sel):
-            _window_votes(out, lo, width, bins, bucket, c_s[sel], mu_s[sel], sig_s[sel], w_s[sel])
+            _window_votes(out, edge_values, bucket, c_s[sel], mu_s[sel], sig_s[sel], w_s[sel])
         if bucket >= bins:
             break
         bucket *= 2
     return out
 
 
-def _window_votes(out, lo, width, bins, half, center, mu, sigma, weight, chunk=16384):
-    """Accumulate votes whose support fits in `center +- half` bins."""
+def _window_votes(out, edge_values, half, center, mu, sigma, weight, chunk=16384):
+    """Accumulate votes whose support fits in `center +- half` bins, `chunk`
+    window cells at a time through buffers made once per call."""
     from scipy.special import ndtr  # deferred: only HSD voting needs it
 
+    bins = out.shape[0]
     edge_off = np.arange(-half, half + 2)
-    bin_off = np.arange(-half, half + 1)
     rows = max(1, chunk // (2 * half + 2))
+    size = min(rows, center.shape[0])
+    edge_buf = np.empty((size, 2 * half + 2), dtype=np.int64)
+    bin_buf = np.empty((size, 2 * half + 1), dtype=np.int64)
+    cdf_buf = np.empty((size, 2 * half + 2))
+    mass_buf = np.empty((size, 2 * half + 1))
     for start in range(0, center.shape[0], rows):
-        stop = start + rows
-        c = center[start:stop]
-        edge_idx = np.clip(c[:, None] + edge_off[None, :], 0, bins)
-        z = (lo + edge_idx * width - mu[start:stop, None]) / sigma[start:stop, None]
-        cdf = ndtr(z)
+        c = center[start : start + rows, None]
+        n = c.shape[0]
+        edge_idx, bin_idx, cdf, mass = edge_buf[:n], bin_buf[:n], cdf_buf[:n], mass_buf[:n]
+        np.add(c, edge_off, out=edge_idx)
+        np.clip(edge_idx, 0, bins, out=edge_idx)
+        np.take(edge_values, edge_idx, out=cdf)
+        cdf -= mu[start : start + n, None]
+        cdf /= sigma[start : start + n, None]
+        # the window ends are forced to 0 and 1, so only the interior needs the CDF
+        ndtr(cdf[:, 1:-1], out=cdf[:, 1:-1])
         cdf[:, 0] = 0.0
         cdf[:, -1] = 1.0
-        mass = np.diff(cdf, axis=1) * weight[start:stop, None]
-        bin_idx = np.clip(c[:, None] + bin_off[None, :], 0, bins - 1)
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=mass)
+        mass *= weight[start : start + n, None]
+        np.add(c, edge_off[:-1], out=bin_idx)
+        np.clip(bin_idx, 0, bins - 1, out=bin_idx)
         np.add.at(out, bin_idx.ravel(), mass.ravel())
 
 
@@ -351,7 +378,8 @@ def _resolve_range(cfg: SDConfig, kind: str, diameter: float) -> Tuple[float, fl
 
 def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeature:
     """Shape distribution from point tuples: exhaustive when the tuple count
-    fits the budget, seeded uniform sampling otherwise."""
+    fits the budget, seeded uniform sampling otherwise. Tuples are measured
+    one `VOTE_BLOCK` at a time into integer bin counts."""
     arity = _check_kind(kind)
     n = len(cloud)
     if n < arity:
@@ -363,9 +391,12 @@ def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeat
     else:
         rng = np.random.default_rng(cfg.seed)
         idx = _sample_tuples(n, arity, cfg.sample_budget, rng)
-    parts = [cloud.points[idx[:, i]] for i in range(arity)]
-    values = measure_many(kind, parts)
-    hist = Histogram1D.from_values(values, lo, hi, cfg.bins)
+    counts = np.zeros(cfg.bins, dtype=np.int64)
+    for start in range(0, idx.shape[0], VOTE_BLOCK):
+        block = idx[start : start + VOTE_BLOCK]
+        values = measure_many(kind, [cloud.points[block[:, i]] for i in range(arity)])
+        counts += np.bincount(Histogram1D.bin_indices(values, lo, hi, cfg.bins), minlength=cfg.bins)
+    hist = Histogram1D(lo, hi, counts.astype(np.float64)).normalized()
     return SDFeature(kind, hist)
 
 
@@ -376,7 +407,9 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     Enumerates all rep tuples when they fit the budget, weighting each
     Gaussian vote by the product of rep weights; otherwise draws seeded
     samples with probability proportional to that product so unit-weight
-    votes approximate the same distribution.
+    votes approximate the same distribution. The vote moments are computed
+    one `VOTE_BLOCK` of tuples at a time, row by row, and voted afterwards,
+    so the histogram does not depend on the block size.
     """
     arity = _check_kind(kind)
     if level < 1:
@@ -409,13 +442,6 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     mass = _gaussian_bin_mass(edges, mu, np.sqrt(sigma2), vote_w)
     hist = Histogram1D(lo, hi, mass).normalized()
     return SDFeature(kind, hist)
-
-
-def histogram_l1(a: Histogram1D, b: Histogram1D) -> float:
-    """L1 distance between two equal-support histograms."""
-    if a.bins != b.bins or a.lo != b.lo or a.hi != b.hi:
-        raise ValueError("mismatched histogram support")
-    return float(np.abs(a.mass - b.mass).sum())
 
 
 def write_features_csv(features: Sequence[SDFeature], path) -> None:

@@ -5,10 +5,14 @@ the closed-form implementations against brute force. The loop references
 (`build_grid_cells_dict`, `tile_features_per_tile`, `refine_roi_per_tile`,
 `load_xyz_line_by_line`, `spin_image_per_point`, `distance_matrix_per_pair`,
 `single_linkage_scan`, `build_octree_recursive`) are the plain per-item
-versions that the vectorized library code must match bit for bit.
+versions that the vectorized library code must match bit for bit, and the
+one-shot shape-distribution references (`moment_votes_one_shot`,
+`gaussian_bin_mass_one_shot`, `exact_sd_one_shot`) are the whole-budget
+versions that the blocked library code must match bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,6 +37,13 @@ def emd_lp(a_mass, b_mass, bin_width):
     res = linprog(cost, A_eq=np.array(a_eq), b_eq=np.concatenate([a, b]), method="highs")
     assert res.success, res.message
     return res.fun
+
+
+def histogram_l1(a, b):
+    """L1 distance between two equal-support histograms."""
+    if a.bins != b.bins or a.lo != b.lo or a.hi != b.hi:
+        raise ValueError("mismatched histogram support")
+    return float(np.abs(a.mass - b.mass).sum())
 
 
 def brute_force_histogram(points, kind, lo, hi, bins):
@@ -273,3 +284,100 @@ def build_octree_recursive(cloud, cfg):
         return node
 
     return build(np.arange(len(cloud), dtype=np.int64), cloud.aabb().expanded_to_cube(), 0)
+
+
+def moment_votes_one_shot(kind, positions, scatters, idx):
+    """Gaussian vote moments with every tuple's temporaries built at once, as
+    `shapedist.moment_votes` computed them before it worked in blocks."""
+    from lidarshape.shapedist import (
+        ARITY,
+        _central_difference_mags,
+        gradient_magnitudes,
+        measure_many,
+    )
+
+    arity = ARITY[kind]
+    parts = [positions[idx[:, i]] for i in range(arity)]
+    mu = measure_many(kind, parts)
+    mags = gradient_magnitudes(kind, parts)
+    sigma2 = np.zeros(idx.shape[0])
+    bad = np.zeros(idx.shape[0], dtype=bool)
+    for slot, g in enumerate(mags):
+        sigma2 += scatters[idx[:, slot]] * np.square(g)
+        bad |= ~np.isfinite(g)
+    for row in np.nonzero(bad)[0]:
+        tuple_pts = np.stack([parts[i][row] for i in range(arity)])
+        cd = _central_difference_mags(kind, tuple_pts)
+        sigma2[row] = sum(
+            scatters[idx[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
+        )
+    return mu, sigma2
+
+
+def gaussian_bin_mass_one_shot(edges, mu, sigma, weight):
+    """Gaussian vote mass with fresh window arrays per chunk and the CDF on
+    every window column, as `shapedist._gaussian_bin_mass` voted before its
+    window buffers were reused."""
+    from scipy.special import ndtr
+
+    bins = edges.shape[0] - 1
+    lo = float(edges[0])
+    width = (float(edges[-1]) - lo) / bins
+    out = np.zeros(bins)
+    center = np.clip(np.floor((mu - lo) / width).astype(np.int64), 0, bins - 1)
+    point = sigma <= 0
+    if np.any(point):
+        np.add.at(out, center[point], weight[point])
+    if np.all(point):
+        return out
+    smooth = ~point
+    half = np.ceil(8.0 * sigma[smooth] / width).astype(np.int64)
+    np.clip(half, 1, bins, out=half)
+    c_s, mu_s, sig_s, w_s = center[smooth], mu[smooth], sigma[smooth], weight[smooth]
+    bucket = 1
+    while True:
+        sel = half <= bucket if bucket < bins else np.ones_like(half, dtype=bool)
+        sel &= half > bucket // 2
+        if np.any(sel):
+            center_b, mu_b, sig_b, w_b = c_s[sel], mu_s[sel], sig_s[sel], w_s[sel]
+            edge_off = np.arange(-bucket, bucket + 2)
+            bin_off = np.arange(-bucket, bucket + 1)
+            rows = max(1, 16384 // (2 * bucket + 2))
+            for start in range(0, center_b.shape[0], rows):
+                stop = start + rows
+                c = center_b[start:stop]
+                edge_idx = np.clip(c[:, None] + edge_off[None, :], 0, bins)
+                z = (lo + edge_idx * width - mu_b[start:stop, None]) / sig_b[start:stop, None]
+                cdf = ndtr(z)
+                cdf[:, 0] = 0.0
+                cdf[:, -1] = 1.0
+                mass = np.diff(cdf, axis=1) * w_b[start:stop, None]
+                bin_idx = np.clip(c[:, None] + bin_off[None, :], 0, bins - 1)
+                np.add.at(out, bin_idx.ravel(), mass.ravel())
+        if bucket >= bins:
+            break
+        bucket *= 2
+    return out
+
+
+def exact_sd_one_shot(cloud, kind, cfg):
+    """`shapedist.exact_sd` with every tuple measured at once and binned by
+    `Histogram1D.from_values`, as it worked before measuring in blocks."""
+    from lidarshape.core import Histogram1D
+    from lidarshape.shapedist import (
+        ARITY,
+        _all_combinations,
+        _resolve_range,
+        _sample_tuples,
+        measure_many,
+    )
+
+    arity = ARITY[kind]
+    n = len(cloud)
+    lo, hi = _resolve_range(cfg, kind, cloud.bbox_diagonal())
+    if math.comb(n, arity) <= cfg.sample_budget:
+        idx = _all_combinations(n, arity)
+    else:
+        idx = _sample_tuples(n, arity, cfg.sample_budget, np.random.default_rng(cfg.seed))
+    values = measure_many(kind, [cloud.points[idx[:, i]] for i in range(arity)])
+    return Histogram1D.from_values(values, lo, hi, cfg.bins)

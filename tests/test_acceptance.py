@@ -25,12 +25,12 @@ from lidarshape.evaluate import (
 )
 from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.roi import basic_filter, build_grid, refine_roi, tile_features, train_class_model
-from lidarshape.shapedist import KINDS, SDConfig, exact_sd, hsd, histogram_l1, measure, sd_ranges
+from lidarshape.shapedist import KINDS, SDConfig, exact_sd, hsd, measure, sd_ranges
 from lidarshape.spinimage import CODE_COUNT, SpinImage, spin_image_at, spin_images, train_codebook
 from lidarshape.synth import make_object, make_scene
 from scipy.spatial import cKDTree
 
-from _oracles import emd_lp
+from _oracles import emd_lp, histogram_l1
 
 
 def report(name, ok, detail=""):

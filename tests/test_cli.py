@@ -219,6 +219,28 @@ def test_roi_hostile_refinement_exits_2(tmp_path, capsys, flags, message):
     assert not (out / "roi.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--refine-k", "-1"], "k nearest must be non-negative, got -1"),
+        (["--refine-tau", "nan"], "distance threshold must be a number, got nan"),
+    ],
+)
+def test_roi_hostile_refinement_exits_2_without_candidates(tmp_path, capsys, flags, message):
+    # a flat 3 x 3-tile scene: no tile passes the basic filter, so no class
+    # model is ever fitted, and the flags must still be rejected
+    rng = np.random.default_rng(19)
+    flat = np.column_stack([rng.uniform(0, 3, size=(300, 2)), np.zeros(300)])
+    scene_path = tmp_path / "flat.xyz"
+    save_cloud(PointCloud(flat), scene_path)
+    out = tmp_path / "roi"
+    assert main(["roi", str(scene_path), "--out", str(out)]) == 0
+    assert "9 occupied tiles, 0 candidates" in capsys.readouterr().out
+    assert main(["roi", str(scene_path), *flags, "--out", str(tmp_path / "bad")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "roi.csv").exists()
+
+
 def test_roi_far_outlier_exits_2_without_allocating_the_grid(tmp_path, capsys):
     # ~1e4 tiles apart on both axes: ~1e8 cells, about 800 MB as an int64 mask
     scene_path = tmp_path / "outlier.xyz"

@@ -21,10 +21,10 @@ from lidarshape.evaluate import (
     write_stats_csv,
 )
 from lidarshape.octree import OctreeConfig
-from lidarshape.shapedist import SDConfig, SDFeature, histogram_l1, sd_ranges
+from lidarshape.shapedist import SDConfig, SDFeature, sd_ranges
 from lidarshape.synth import make_dataset, make_object
 
-from _oracles import brute_force_histogram, distance_matrix_per_pair
+from _oracles import brute_force_histogram, distance_matrix_per_pair, histogram_l1
 
 
 def tiny_dataset(rng, per_class=3, n=120):

@@ -1,19 +1,25 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lidarshape.shapedist as shapedist
 from lidarshape.core import Histogram1D, PointCloud, Transform4DOF, apply_transform
 from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.shapedist import (
     KINDS,
+    ARITY,
     SDConfig,
     _all_combinations,
     _gaussian_bin_mass,
+    _sample_tuples,
     exact_sd,
     hsd,
-    histogram_l1,
     measure,
     moment_votes,
     sd_ranges,
@@ -21,7 +27,13 @@ from lidarshape.shapedist import (
 )
 from lidarshape.synth import make_object
 
-from _oracles import brute_force_histogram
+from _oracles import (
+    brute_force_histogram,
+    exact_sd_one_shot,
+    gaussian_bin_mass_one_shot,
+    histogram_l1,
+    moment_votes_one_shot,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +276,175 @@ def test_all_combinations_match_itertools(r):
         assert got.dtype == np.int64
         assert got.shape == (math.comb(n, r), r)
         assert np.array_equal(got, expected.reshape(-1, r))
+
+
+# ---------------------------------------------------------------------------
+# blocked votes and measurements against the one-shot oracles
+# ---------------------------------------------------------------------------
+
+BLOCKS = [1, 7, 16]
+
+
+def assert_votes_match_one_shot(kind, positions, scatters, idx, edges):
+    """Blocked moments and vote mass are bitwise the one-shot ones."""
+    mu, sigma2 = moment_votes(kind, positions, scatters, idx)
+    mu_ref, sigma2_ref = moment_votes_one_shot(kind, positions, scatters, idx)
+    assert mu.tobytes() == mu_ref.tobytes()
+    assert sigma2.tobytes() == sigma2_ref.tobytes()
+    weight = np.linspace(0.5, 2.0, idx.shape[0])
+    mass = _gaussian_bin_mass(edges, mu, np.sqrt(sigma2), weight)
+    assert mass.tobytes() == gaussian_bin_mass_one_shot(edges, mu, np.sqrt(sigma2), weight).tobytes()
+    return mu, sigma2
+
+
+def degenerate_reps(rng):
+    """Reps 0 and 1 coincide, 0, 2 and 3 are collinear, 0, 2, 3 and 4 are
+    coplanar (all exactly); reps 5-11 are in general position. The R3
+    central differences of the collinear triple are small but not zero, so
+    they depend on which reps' scatters are read."""
+    fixed = np.array(
+        [[0.0, 0, 0.4], [0.0, 0, 0.4], [0.3, 0.7, 0.4], [0.6, 1.4, 0.4], [0.9, -0.2, 0.4]]
+    )
+    positions = np.vstack([fixed, rng.uniform(-1, 1, size=(7, 3))])
+    return positions, rng.uniform(0.001, 0.05, size=12)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_votes_partial_last_block(monkeypatch, kind, block):
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    rng = np.random.default_rng(107)
+    positions, scatters = degenerate_reps(rng)
+    idx = _sample_tuples(12, ARITY[kind], 37, rng)  # 37 rows: a partial last block
+    assert_votes_match_one_shot(kind, positions, scatters, idx, np.linspace(0.0, 2.0, 17))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_votes_degenerate_rows_at_block_boundaries(monkeypatch, kind, block):
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    rng = np.random.default_rng(109)
+    positions, scatters = degenerate_reps(rng)
+    arity = ARITY[kind]
+    degenerate = {"D2": [0, 1], "A3": [0, 2, 3], "R3": [0, 2, 3], "T3": [0, 2, 3, 4]}[kind]
+    idx = np.array([rng.choice(np.arange(5, 12), arity, replace=False) for _ in range(3 * block + 3)])
+    boundary_rows = [block - 1, block, 2 * block - 1, 2 * block]
+    idx[boundary_rows] = degenerate
+    _, sigma2 = assert_votes_match_one_shot(kind, positions, scatters, idx, np.linspace(0.0, 2.0, 17))
+    assert np.isfinite(sigma2[boundary_rows]).all()
+    if kind == "R3":
+        assert (sigma2[boundary_rows] > 0).all()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_votes_point_and_smooth_votes_mixed(monkeypatch, kind, block):
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    rng = np.random.default_rng(113)
+    positions = rng.uniform(-1, 1, size=(10, 3))
+    scatters = np.where(np.arange(10) < 6, 0.0, 0.01)  # tuples of reps 0-5 vote sigma = 0
+    idx = np.vstack([_sample_tuples(6, ARITY[kind], 20, rng), _sample_tuples(10, ARITY[kind], 40, rng)])
+    idx = idx[rng.permutation(60)]
+    _, sigma2 = assert_votes_match_one_shot(kind, positions, scatters, idx, np.linspace(0.0, 1.5, 33))
+    assert (sigma2 == 0).any() and (sigma2 > 0).any()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_votes_clipped_at_both_ends(monkeypatch, kind, block):
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    rng = np.random.default_rng(127)
+    positions = rng.uniform(-1, 1, size=(14, 3))
+    scatters = rng.uniform(0.0, 0.2, size=14)
+    idx = _sample_tuples(14, ARITY[kind], 50, rng)
+    mu, _ = moment_votes_one_shot(kind, positions, scatters, idx)
+    lo, hi = np.quantile(mu, [0.25, 0.75])
+    assert_votes_match_one_shot(kind, positions, scatters, idx, np.linspace(lo, hi, 9))
+
+
+def test_gaussian_bin_mass_many_chunks_matches_one_shot():
+    # 30k votes spread over every window bucket, several chunks per bucket
+    # with a partial last one, sigma = 0 votes among them and means beyond
+    # both ends of the range
+    rng = np.random.default_rng(131)
+    n = 30_000
+    mu = rng.uniform(-0.3, 1.3, size=n)
+    sigma = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-4, 0.5, size=n))
+    weight = rng.uniform(0.1, 3.0, size=n)
+    edges = np.linspace(0.0, 1.0, 65)
+    got = _gaussian_bin_mass(edges, mu, sigma, weight)
+    assert got.tobytes() == gaussian_bin_mass_one_shot(edges, mu, sigma, weight).tobytes()
+
+
+_rep_coords = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(4, 25),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from(BLOCKS),
+)
+def test_blocked_votes_match_one_shot_property(data, kind, n, budget, seed, block):
+    positions = np.array(data.draw(st.lists(st.tuples(*[_rep_coords] * 3), min_size=n, max_size=n)))
+    scatters = np.array(
+        data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    )
+    arity = ARITY[kind]
+    if math.comb(n, arity) <= budget:
+        idx = _all_combinations(n, arity)
+    else:
+        idx = _sample_tuples(n, arity, budget, np.random.default_rng(seed))
+    mu, _ = moment_votes_one_shot(kind, positions, scatters, idx)
+    edges = np.linspace(0.0, max(0.8 * float(mu.max()), 1e-9), 17)
+    with mock.patch.object(shapedist, "VOTE_BLOCK", block):
+        assert_votes_match_one_shot(kind, positions, scatters, idx, edges)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_exact_sd_matches_one_shot(monkeypatch, kind, block):
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    rng = np.random.default_rng(137)
+    pts = rng.uniform(0, 1, size=(30, 3))
+    pts[:3] = [[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]]  # coincident and collinear tuples
+    for cloud, cfg in (
+        (PointCloud(pts[:9]), SDConfig(bins=16)),  # enumerated
+        (PointCloud(pts), SDConfig(bins=16, sample_budget=101, seed=4)),  # sampled
+        (PointCloud(pts), SDConfig(bins=8, lo=0.2, hi=0.4, sample_budget=101)),  # clamped
+    ):
+        got = exact_sd(cloud, kind, cfg).histogram
+        ref = exact_sd_one_shot(cloud, kind, cfg)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        assert got.mass.tobytes() == ref.mass.tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_hsd_does_not_depend_on_block(monkeypatch, block):
+    cloud = make_object("lshape", 200, np.random.default_rng(139))
+    root = build_octree(cloud)
+    cfg = SDConfig(sample_budget=150, seed=2)
+    default = [hsd(root, kind, 2, cfg).histogram.mass.tobytes() for kind in KINDS]
+    monkeypatch.setattr(shapedist, "VOTE_BLOCK", block)
+    assert [hsd(root, kind, 2, cfg).histogram.mass.tobytes() for kind in KINDS] == default
+
+
+def test_hsd_default_budget_peak_memory():
+    # the R3 gradients take ~520 B per tuple; 200k tuples at once peaked at
+    # ~104 MB, one block at a time stays near the ~25 MB of tuple tables
+    cloud = make_object("cylinder", 300, np.random.default_rng(1))
+    root = build_octree(cloud)
+    hsd(root, "D2", 3, SDConfig())  # imports scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        hsd(root, "R3", 3, SDConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
 
 
 # ---------------------------------------------------------------------------
