@@ -222,13 +222,12 @@ def moment_votes(
     """
     arity = _check_kind(kind)
     mu = np.empty(idx.shape[0])
-    sigma2 = np.empty(idx.shape[0])
+    sigma2 = np.zeros(idx.shape[0])
     for start in range(0, idx.shape[0], VOTE_BLOCK):
         block = idx[start : start + VOTE_BLOCK]
         parts = [positions[block[:, i]] for i in range(arity)]
         mu[start : start + VOTE_BLOCK] = measure_many(kind, parts)
         s2 = sigma2[start : start + VOTE_BLOCK]
-        s2[:] = 0.0
         bad = np.zeros(block.shape[0], dtype=bool)
         for slot, g in enumerate(gradient_magnitudes(kind, parts)):
             s2 += scatters[block[:, slot]] * np.square(g)
