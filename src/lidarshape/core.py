@@ -150,11 +150,6 @@ class Histogram1D:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.mass)
 
-    def bin_index(self, value: float) -> int:
-        """Bin holding `value`; out-of-range values clamp to the edge bins."""
-        idx = int(math.floor((value - self.lo) / self.bin_width))
-        return min(max(idx, 0), self.bins - 1)
-
     def normalized(self) -> "Histogram1D":
         total = self.mass.sum()
         if total <= 0:

@@ -141,15 +141,6 @@ def _depth_reps(sub, member, lo, hi, g):
     return out, np.searchsorted(node[first], np.arange(1, lo.shape[0]))
 
 
-def iter_nodes(root: OctreeNode):
-    """Yield every node in depth-first order."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
 def nodes_at_level(root: OctreeNode, level: int) -> List[OctreeNode]:
     """Nodes at the given depth, with shallower leaves standing in for the
     descendants they never grew."""

@@ -14,9 +14,11 @@ vote whose mean is the measurement at the rep positions and whose variance
 comes from first-order propagation of the reps' isotropic scatter, so one
 vote stands in for `prod(weights)` point tuples.
 
-Both paths keep the whole tuple index table but measure it `VOTE_BLOCK`
-rows at a time, so a call's temporaries (tuple points, crosses, norms,
-gradients) stay one block in size whatever the sample budget.
+Both paths measure through one per-kind kernel, `measure_many`, which
+returns the values and, for HSD, the per-slot gradient magnitudes from the
+same edge vectors, cross product and norms. They measure their tuple table
+`VOTE_BLOCK` rows at a time, so a call's temporaries stay one block in size
+whatever the sample budget (at most `MAX_SAMPLE_BUDGET`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ KINDS = ("D2", "A3", "T3", "R3")
 ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
 # tuples measured at once by `moment_votes` and `exact_sd`: bounds a call's temporaries
 VOTE_BLOCK = 8192
+# the largest sample budget: a T3 tuple table of 10**7 rows takes 320 MB
+MAX_SAMPLE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,10 @@ class SDConfig:
     def __post_init__(self):
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
-        if self.sample_budget < 1:
-            raise ValueError(f"sample_budget must be >= 1, got {self.sample_budget}")
+        if not 1 <= self.sample_budget <= MAX_SAMPLE_BUDGET:
+            raise ValueError(
+                f"sample_budget must be in 1..{MAX_SAMPLE_BUDGET}, got {self.sample_budget}"
+            )
         if (self.lo is None) != (self.hi is None):
             raise ValueError("fixed range needs both lo and hi")
 
@@ -82,7 +88,7 @@ def sd_ranges(diameter: float) -> Dict[str, Tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Measurements and their gradients
+# The measurement kernel
 # ---------------------------------------------------------------------------
 
 
@@ -92,120 +98,84 @@ def _check_kind(kind: str) -> int:
     return ARITY[kind]
 
 
-def measure(kind: str, pts: Sequence) -> float:
-    """Single-tuple measurement; `pts` must hold exactly arity(kind) points."""
-    arity = _check_kind(kind)
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.shape != (arity, 3):
-        raise ValueError(f"{kind} takes {arity} points, got array of shape {pts.shape}")
-    parts = [pts[i][np.newaxis, :] for i in range(arity)]
-    return float(measure_many(kind, parts)[0])
+def measure_many(
+    kind: str, parts: Sequence[np.ndarray], gradients: bool = False
+) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
+    """Measurement over aligned (N, 3) arrays, one per tuple slot, and with
+    `gradients` the per-slot gradient magnitudes, both from one set of
+    intermediates (edge vectors, cross product, edge norms, semiperimeter).
 
-
-def measure_many(kind: str, parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized measurement over aligned (N, 3) arrays, one per tuple slot."""
+    Degenerate configurations (coincident points, collinear triangles,
+    coplanar tetrahedra) leave NaN/inf magnitudes; `moment_votes` takes
+    central differences for those rows.
+    """
     arity = _check_kind(kind)
     if len(parts) != arity:
         raise ValueError(f"{kind} takes {arity} point arrays, got {len(parts)}")
-    if kind == "D2":
-        return np.linalg.norm(parts[1] - parts[0], axis=1)
-    if kind == "A3":
-        u = parts[1] - parts[0]
-        v = parts[2] - parts[0]
-        return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
-    if kind == "R3":
-        a = np.linalg.norm(parts[1] - parts[0], axis=1)
-        b = np.linalg.norm(parts[2] - parts[0], axis=1)
-        c = np.linalg.norm(parts[2] - parts[1], axis=1)
-        s = 0.5 * (a + b + c)
-        area = 0.5 * np.linalg.norm(np.cross(parts[1] - parts[0], parts[2] - parts[0]), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(s > 0, area / s, 0.0)
-        return r
-    # T3
     u = parts[1] - parts[0]
-    v = parts[2] - parts[0]
-    w = parts[3] - parts[0]
-    det = np.einsum("ij,ij->i", u, np.cross(v, w))
-    return np.abs(det) / 6.0
-
-
-def gradient_magnitudes(kind: str, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Per-slot gradient magnitude of the measurement, vectorized over tuples.
-
-    Degenerate configurations (coincident points, collinear triangles) leave
-    NaN/inf entries; callers fall back to central differences for those rows.
-    """
-    arity = _check_kind(kind)
     if kind == "D2":
-        d = np.linalg.norm(parts[1] - parts[0], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(d > 0, 1.0, np.nan)
-        return [g, g]
-    if kind == "A3":
-        # |grad at a vertex| = half the opposite side length
-        g0 = 0.5 * np.linalg.norm(parts[2] - parts[1], axis=1)
-        g1 = 0.5 * np.linalg.norm(parts[2] - parts[0], axis=1)
-        g2 = 0.5 * np.linalg.norm(parts[1] - parts[0], axis=1)
-        return [g0, g1, g2]
+        d = np.linalg.norm(u, axis=1)
+        if not gradients:
+            return d, None
+        g = np.where(d > 0, 1.0, np.nan)
+        return d, [g, g]
+    v = parts[2] - parts[0]
     if kind == "T3":
-        u = parts[1] - parts[0]
-        v = parts[2] - parts[0]
         w = parts[3] - parts[0]
-        sign = np.sign(np.einsum("ij,ij->i", u, np.cross(v, w)))
-        g1 = np.cross(v, w) / 6.0
-        g2 = np.cross(w, u) / 6.0
-        g3 = np.cross(u, v) / 6.0
-        g0 = -(g1 + g2 + g3)
-        mags = [np.linalg.norm(g, axis=1) for g in (g0, g1, g2, g3)]
-        # volume gradient is undefined only where the determinant vanishes
-        bad = sign == 0
-        return [np.where(bad, np.nan, m) for m in mags]
+        vw = np.cross(v, w)
+        det = np.einsum("ij,ij->i", u, vw)
+        values = np.abs(det) / 6.0
+        if not gradients:
+            return values, None
+        g1, g2, g3 = vw / 6.0, np.cross(w, u) / 6.0, np.cross(u, v) / 6.0
+        grads = (-(g1 + g2 + g3), g1, g2, g3)
+        # the volume gradient is undefined only where the determinant vanishes
+        return values, [np.where(det == 0, np.nan, np.linalg.norm(g, axis=1)) for g in grads]
+    uv = np.cross(u, v)
+    if kind == "A3":
+        values = 0.5 * np.linalg.norm(uv, axis=1)
+        if not gradients:
+            return values, None
+        # |grad at a vertex| = half the opposite side length
+        mags = [np.linalg.norm(e, axis=1) for e in (parts[2] - parts[1], v, u)]
+        return values, [0.5 * m for m in mags]
     # R3 = area / semiperimeter; quotient rule on analytic area and edge grads
-    p0, p1, p2 = parts
-    u = p1 - p0
-    v = p2 - p0
-    wvec = np.cross(u, v)
-    wnorm = np.linalg.norm(wvec, axis=1)
-    a = np.linalg.norm(u, axis=1)
-    b = np.linalg.norm(v, axis=1)
-    c = np.linalg.norm(p2 - p1, axis=1)
+    e = parts[2] - parts[1]
+    wnorm, a, b, c = (np.linalg.norm(x, axis=1) for x in (uv, u, v, e))
     s = 0.5 * (a + b + c)
-    area = 0.5 * wnorm
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = area / s
-        grad_a1 = np.cross(v, wvec) / (2.0 * wnorm)[:, None]
-        grad_a2 = np.cross(wvec, u) / (2.0 * wnorm)[:, None]
+        r = 0.5 * wnorm / s
+        values = np.where(s > 0, r, 0.0)
+        if not gradients:
+            return values, None
+        grad_a1 = np.cross(v, uv) / (2.0 * wnorm)[:, None]
+        grad_a2 = np.cross(uv, u) / (2.0 * wnorm)[:, None]
         grad_a0 = -(grad_a1 + grad_a2)
-        uhat = u / a[:, None]
-        vhat = v / b[:, None]
-        what = (p2 - p1) / c[:, None]
-        grad_s0 = -0.5 * (uhat + vhat)
-        grad_s1 = 0.5 * (uhat - what)
-        grad_s2 = 0.5 * (vhat + what)
-        out = []
-        for ga, gs in ((grad_a0, grad_s0), (grad_a1, grad_s1), (grad_a2, grad_s2)):
-            grad_r = (ga - r[:, None] * gs) / s[:, None]
-            out.append(np.linalg.norm(grad_r, axis=1))
-    return out
+        uhat, vhat, what = u / a[:, None], v / b[:, None], e / c[:, None]
+        grad_s = (-0.5 * (uhat + vhat), 0.5 * (uhat - what), 0.5 * (vhat + what))
+        mags = [
+            np.linalg.norm((ga - r[:, None] * gs) / s[:, None], axis=1)
+            for ga, gs in zip((grad_a0, grad_a1, grad_a2), grad_s)
+        ]
+    return values, mags
 
 
-def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> List[float]:
-    """Numeric gradient magnitudes for one degenerate tuple."""
-    arity = tuple_pts.shape[0]
-    scale = max(1.0, float(np.abs(tuple_pts).max()))
-    h = 1e-6 * scale
-    mags = []
-    for i in range(arity):
-        grad = np.zeros(3)
-        for axis in range(3):
-            plus = tuple_pts.copy()
-            minus = tuple_pts.copy()
-            plus[i, axis] += h
-            minus[i, axis] -= h
-            grad[axis] = (measure(kind, plus) - measure(kind, minus)) / (2.0 * h)
-        mags.append(float(np.linalg.norm(grad)))
-    return mags
+def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> np.ndarray:
+    """Numeric gradient magnitudes (R, arity) of R degenerate tuples
+    (R, arity, 3): every +-h step of every row goes through one kernel call.
+    Each magnitude is the 1-D norm (a dot product) of its own 3-vector; a
+    batched `axis` norm rounds differently."""
+    rows, arity = tuple_pts.shape[:2]
+    h = 1e-6 * np.maximum(1.0, np.abs(tuple_pts).max(axis=(1, 2)))
+    moved = np.broadcast_to(tuple_pts, (2, 3 * arity) + tuple_pts.shape).copy()
+    step = np.arange(3 * arity)
+    slot, axis = np.divmod(step, 3)
+    moved[0, step, :, slot, axis] += h
+    moved[1, step, :, slot, axis] -= h
+    flat = moved.reshape(-1, arity, 3)
+    m = measure_many(kind, [flat[:, i] for i in range(arity)])[0].reshape(2, arity, 3, rows)
+    grad = ((m[0] - m[1]) / (2.0 * h)).transpose(2, 0, 1)
+    return np.array([[np.linalg.norm(g) for g in row] for row in grad])
 
 
 def moment_votes(
@@ -226,18 +196,18 @@ def moment_votes(
     for start in range(0, idx.shape[0], VOTE_BLOCK):
         block = idx[start : start + VOTE_BLOCK]
         parts = [positions[block[:, i]] for i in range(arity)]
-        mu[start : start + VOTE_BLOCK] = measure_many(kind, parts)
+        mu[start : start + VOTE_BLOCK], mags = measure_many(kind, parts, gradients=True)
         s2 = sigma2[start : start + VOTE_BLOCK]
         bad = np.zeros(block.shape[0], dtype=bool)
-        for slot, g in enumerate(gradient_magnitudes(kind, parts)):
+        for slot, g in enumerate(mags):
             s2 += scatters[block[:, slot]] * np.square(g)
             bad |= ~np.isfinite(g)
-        for row in np.nonzero(bad)[0]:
-            tuple_pts = np.stack([parts[i][row] for i in range(arity)])
-            cd = _central_difference_mags(kind, tuple_pts)
-            s2[row] = sum(
-                scatters[block[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
-            )
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            cd = _central_difference_mags(kind, np.stack([p[rows] for p in parts], axis=1))
+            terms = np.where(np.isfinite(cd), scatters[block[rows]] * cd * cd, 0.0)
+            # numpy adds fewer than 8 terms left to right, in slot order
+            s2[rows] = terms.sum(axis=1)
     return mu, sigma2
 
 
@@ -369,6 +339,18 @@ def _sample_tuples(
     return out
 
 
+def _tuple_table(
+    n: int, arity: int, cfg: SDConfig, p: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, bool]:
+    """The tuples a feature measures and whether they are all of them: every
+    arity-subset of range(n) when their count fits the budget, otherwise
+    `sample_budget` seeded draws (weighted by `p` when given)."""
+    if math.comb(n, arity) <= cfg.sample_budget:
+        return _all_combinations(n, arity), True
+    rng = np.random.default_rng(cfg.seed)
+    return _sample_tuples(n, arity, cfg.sample_budget, rng, p=p), False
+
+
 def _resolve_range(cfg: SDConfig, kind: str, diameter: float) -> Tuple[float, float]:
     if cfg.lo is not None:
         return cfg.lo, cfg.hi
@@ -384,16 +366,11 @@ def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeat
     if n < arity:
         raise ValueError(f"{kind} needs at least {arity} points, cloud has {n}")
     lo, hi = _resolve_range(cfg, kind, cloud.bbox_diagonal())
-    total = math.comb(n, arity)
-    if total <= cfg.sample_budget:
-        idx = _all_combinations(n, arity)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        idx = _sample_tuples(n, arity, cfg.sample_budget, rng)
+    idx, _ = _tuple_table(n, arity, cfg)
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for start in range(0, idx.shape[0], VOTE_BLOCK):
         block = idx[start : start + VOTE_BLOCK]
-        values = measure_many(kind, [cloud.points[block[:, i]] for i in range(arity)])
+        values, _ = measure_many(kind, [cloud.points[block[:, i]] for i in range(arity)])
         counts += np.bincount(Histogram1D.bin_indices(values, lo, hi, cfg.bins), minlength=cfg.bins)
     hist = Histogram1D(lo, hi, counts.astype(np.float64)).normalized()
     return SDFeature(kind, hist)
@@ -426,15 +403,8 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     diam = float(np.linalg.norm(positions.max(axis=0) - positions.min(axis=0)))
     lo, hi = _resolve_range(cfg, kind, diam)
 
-    total = math.comb(n_reps, arity)
-    if total <= cfg.sample_budget:
-        idx = _all_combinations(n_reps, arity)
-        vote_w = np.prod(weights[idx], axis=1)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        p = weights / weights.sum()
-        idx = _sample_tuples(n_reps, arity, cfg.sample_budget, rng, p=p)
-        vote_w = np.ones(idx.shape[0])
+    idx, enumerated = _tuple_table(n_reps, arity, cfg, p=weights / weights.sum())
+    vote_w = np.prod(weights[idx], axis=1) if enumerated else np.ones(idx.shape[0])
 
     mu, sigma2 = moment_votes(kind, positions, scatters, idx)
     edges = np.linspace(lo, hi, cfg.bins + 1)

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import PointCloud
+from .core import ParseError, PointCloud
 
 SPIN_ROWS = 31  # beta axis, [-R, R]
 SPIN_COLS = 16  # alpha axis, [0, R]
@@ -247,7 +247,11 @@ def spin_image_at(
     support_radius: Optional[float] = None,
 ) -> SpinImage:
     """Spin image at one point: bilinear (alpha, beta) votes from every other
-    point within the support radius, normalized to unit mass."""
+    point within the support radius, normalized to unit mass.
+
+    The one-image entry point: it runs a single one-query block, so checking
+    a few images of a large cloud (the 2**14 + 3-point tests) costs O(n), not
+    the full `spin_images` pass."""
     support_radius = _check_radius(cloud, support_radius)
     pts = cloud.points
     idx = np.array([range(len(cloud))[index]])  # wraps negative, rejects out-of-range
@@ -398,21 +402,30 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
+    """Read a `save_codebook` file; a malformed header or row raises
+    `ParseError` naming the file and the line."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2:
-        raise ValueError(f"{path}: not a codebook file")
-    kind, dims_s, count_s = lines[0].split(",")
-    dims, count = int(dims_s), int(count_s)
+        raise ParseError(path, 1, "not a codebook file")
+    try:
+        kind, dims_s, count_s = lines[0].split(",")
+        dims, count = int(dims_s), int(count_s)
+    except ValueError:
+        raise ParseError(path, 1, f"expected header kind,dims,count, got {lines[0]!r}") from None
     if kind not in (WHOLE_IMAGE, PATCH_11X11):
-        raise ValueError(f"{path}: unknown codebook kind {kind!r}")
+        raise ParseError(path, 1, f"unknown codebook kind {kind!r}")
     if len(lines) != 2 + count:
-        raise ValueError(f"{path}: expected {count} basis rows, got {len(lines) - 2}")
-    mean = np.array([float(v) for v in lines[1].split(",")])
-    basis = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    if mean.shape[0] != dims or basis.shape != (count, dims):
-        raise ValueError(f"{path}: inconsistent codebook dimensions")
-    return Codebook(kind=kind, mean=mean, basis=basis)
+        raise ParseError(path, 1, f"header promises {count} basis rows, file has {len(lines) - 2}")
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        if len(rows[-1]) != dims:
+            raise ParseError(path, line_no, f"expected {dims} values, got {len(rows[-1])}")
+    return Codebook(kind=kind, mean=np.array(rows[0]), basis=np.array(rows[1:]))
 
 
 def write_spin_pgm(img: SpinImage, path) -> None:

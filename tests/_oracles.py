@@ -9,13 +9,22 @@ versions that the vectorized library code must match bit for bit, and the
 one-shot shape-distribution references (`moment_votes_one_shot`,
 `gaussian_bin_mass_one_shot`, `exact_sd_one_shot`) are the whole-budget
 versions that the blocked library code must match bit for bit.
+
+`measure`, `measure_many`, `gradient_magnitudes` and
+`_central_difference_mags` are the separate value, gradient and per-row
+central-difference chains the library measured with before its one kernel;
+the kernel must match them bit for bit. `iter_nodes` walks an octree depth
+first for the tree audits.
 """
 
 import itertools
 import math
+from typing import List, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+
+from lidarshape.shapedist import _check_kind
 
 
 def emd_lp(a_mass, b_mass, bin_width):
@@ -48,7 +57,7 @@ def histogram_l1(a, b):
 
 def brute_force_histogram(points, kind, lo, hi, bins):
     """Shape distribution by plain nested enumeration of all tuples."""
-    from lidarshape.shapedist import ARITY, measure
+    from lidarshape.shapedist import ARITY
 
     arity = ARITY[kind]
     width = (hi - lo) / bins
@@ -231,6 +240,15 @@ def single_linkage_scan(sim):
     return out
 
 
+def iter_nodes(root):
+    """Yield every node in depth-first order."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def build_octree_recursive(cloud, cfg):
     """Octree built one node at a time by recursion, with each node's reps
     from a per-cell loop, as the library built it before one array pass per
@@ -286,15 +304,126 @@ def build_octree_recursive(cloud, cfg):
     return build(np.arange(len(cloud), dtype=np.int64), cloud.aabb().expanded_to_cube(), 0)
 
 
+def measure(kind: str, pts: Sequence) -> float:
+    """Single-tuple measurement; `pts` must hold exactly arity(kind) points."""
+    arity = _check_kind(kind)
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.shape != (arity, 3):
+        raise ValueError(f"{kind} takes {arity} points, got array of shape {pts.shape}")
+    parts = [pts[i][np.newaxis, :] for i in range(arity)]
+    return float(measure_many(kind, parts)[0])
+
+
+def measure_many(kind: str, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Vectorized measurement over aligned (N, 3) arrays, one per tuple slot."""
+    arity = _check_kind(kind)
+    if len(parts) != arity:
+        raise ValueError(f"{kind} takes {arity} point arrays, got {len(parts)}")
+    if kind == "D2":
+        return np.linalg.norm(parts[1] - parts[0], axis=1)
+    if kind == "A3":
+        u = parts[1] - parts[0]
+        v = parts[2] - parts[0]
+        return 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
+    if kind == "R3":
+        a = np.linalg.norm(parts[1] - parts[0], axis=1)
+        b = np.linalg.norm(parts[2] - parts[0], axis=1)
+        c = np.linalg.norm(parts[2] - parts[1], axis=1)
+        s = 0.5 * (a + b + c)
+        area = 0.5 * np.linalg.norm(np.cross(parts[1] - parts[0], parts[2] - parts[0]), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(s > 0, area / s, 0.0)
+        return r
+    # T3
+    u = parts[1] - parts[0]
+    v = parts[2] - parts[0]
+    w = parts[3] - parts[0]
+    det = np.einsum("ij,ij->i", u, np.cross(v, w))
+    return np.abs(det) / 6.0
+
+
+def gradient_magnitudes(kind: str, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Per-slot gradient magnitude of the measurement, vectorized over tuples.
+
+    Degenerate configurations (coincident points, collinear triangles) leave
+    NaN/inf entries; callers fall back to central differences for those rows.
+    """
+    arity = _check_kind(kind)
+    if kind == "D2":
+        d = np.linalg.norm(parts[1] - parts[0], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(d > 0, 1.0, np.nan)
+        return [g, g]
+    if kind == "A3":
+        # |grad at a vertex| = half the opposite side length
+        g0 = 0.5 * np.linalg.norm(parts[2] - parts[1], axis=1)
+        g1 = 0.5 * np.linalg.norm(parts[2] - parts[0], axis=1)
+        g2 = 0.5 * np.linalg.norm(parts[1] - parts[0], axis=1)
+        return [g0, g1, g2]
+    if kind == "T3":
+        u = parts[1] - parts[0]
+        v = parts[2] - parts[0]
+        w = parts[3] - parts[0]
+        sign = np.sign(np.einsum("ij,ij->i", u, np.cross(v, w)))
+        g1 = np.cross(v, w) / 6.0
+        g2 = np.cross(w, u) / 6.0
+        g3 = np.cross(u, v) / 6.0
+        g0 = -(g1 + g2 + g3)
+        mags = [np.linalg.norm(g, axis=1) for g in (g0, g1, g2, g3)]
+        # volume gradient is undefined only where the determinant vanishes
+        bad = sign == 0
+        return [np.where(bad, np.nan, m) for m in mags]
+    # R3 = area / semiperimeter; quotient rule on analytic area and edge grads
+    p0, p1, p2 = parts
+    u = p1 - p0
+    v = p2 - p0
+    wvec = np.cross(u, v)
+    wnorm = np.linalg.norm(wvec, axis=1)
+    a = np.linalg.norm(u, axis=1)
+    b = np.linalg.norm(v, axis=1)
+    c = np.linalg.norm(p2 - p1, axis=1)
+    s = 0.5 * (a + b + c)
+    area = 0.5 * wnorm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = area / s
+        grad_a1 = np.cross(v, wvec) / (2.0 * wnorm)[:, None]
+        grad_a2 = np.cross(wvec, u) / (2.0 * wnorm)[:, None]
+        grad_a0 = -(grad_a1 + grad_a2)
+        uhat = u / a[:, None]
+        vhat = v / b[:, None]
+        what = (p2 - p1) / c[:, None]
+        grad_s0 = -0.5 * (uhat + vhat)
+        grad_s1 = 0.5 * (uhat - what)
+        grad_s2 = 0.5 * (vhat + what)
+        out = []
+        for ga, gs in ((grad_a0, grad_s0), (grad_a1, grad_s1), (grad_a2, grad_s2)):
+            grad_r = (ga - r[:, None] * gs) / s[:, None]
+            out.append(np.linalg.norm(grad_r, axis=1))
+    return out
+
+
+def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> List[float]:
+    """Numeric gradient magnitudes for one degenerate tuple."""
+    arity = tuple_pts.shape[0]
+    scale = max(1.0, float(np.abs(tuple_pts).max()))
+    h = 1e-6 * scale
+    mags = []
+    for i in range(arity):
+        grad = np.zeros(3)
+        for axis in range(3):
+            plus = tuple_pts.copy()
+            minus = tuple_pts.copy()
+            plus[i, axis] += h
+            minus[i, axis] -= h
+            grad[axis] = (measure(kind, plus) - measure(kind, minus)) / (2.0 * h)
+        mags.append(float(np.linalg.norm(grad)))
+    return mags
+
+
 def moment_votes_one_shot(kind, positions, scatters, idx):
     """Gaussian vote moments with every tuple's temporaries built at once, as
     `shapedist.moment_votes` computed them before it worked in blocks."""
-    from lidarshape.shapedist import (
-        ARITY,
-        _central_difference_mags,
-        gradient_magnitudes,
-        measure_many,
-    )
+    from lidarshape.shapedist import ARITY
 
     arity = ARITY[kind]
     parts = [positions[idx[:, i]] for i in range(arity)]
@@ -364,13 +493,7 @@ def exact_sd_one_shot(cloud, kind, cfg):
     """`shapedist.exact_sd` with every tuple measured at once and binned by
     `Histogram1D.from_values`, as it worked before measuring in blocks."""
     from lidarshape.core import Histogram1D
-    from lidarshape.shapedist import (
-        ARITY,
-        _all_combinations,
-        _resolve_range,
-        _sample_tuples,
-        measure_many,
-    )
+    from lidarshape.shapedist import ARITY, _all_combinations, _resolve_range, _sample_tuples
 
     arity = ARITY[kind]
     n = len(cloud)

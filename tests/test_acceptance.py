@@ -25,7 +25,7 @@ from lidarshape.evaluate import (
 )
 from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.roi import basic_filter, build_grid, refine_roi, tile_features, train_class_model
-from lidarshape.shapedist import KINDS, SDConfig, exact_sd, hsd, measure, sd_ranges
+from lidarshape.shapedist import KINDS, SDConfig, exact_sd, hsd, measure_many, sd_ranges
 from lidarshape.spinimage import CODE_COUNT, SpinImage, spin_image_at, spin_images, train_codebook
 from lidarshape.synth import make_object, make_scene
 from scipy.spatial import cKDTree
@@ -108,6 +108,9 @@ def test_hsd_scalability_100k_points():
 
 
 def test_analytic_measurements():
+    def measure(kind, pts):  # one tuple through the kernel, as one-row arrays
+        return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[None] for p in pts])[0][0])
+
     r3 = measure("R3", [(0, 0, 0), (2, 0, 0), (1, math.sqrt(3), 0)])
     t3 = measure("T3", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     d2 = measure("D2", [(0, 0, 0), (3, 4, 0)])

@@ -10,6 +10,7 @@ import pytest
 import lidarshape
 from lidarshape.cli import RunConfig, main
 from lidarshape.core import PointCloud, save_cloud
+from lidarshape.shapedist import MAX_SAMPLE_BUDGET, SDConfig
 from lidarshape.synth import make_object, make_scene
 
 
@@ -258,6 +259,24 @@ def test_roi_far_outlier_exits_2_without_allocating_the_grid(tmp_path, capsys):
     assert not (out / "mask.pgm").exists()
 
 
+def test_absurd_sample_budget_exits_2_without_allocating(tmp_path, object_file, capsys):
+    # 120 points: C(120, 4) = 8.2M T3 tuples would be enumerated under 1e9
+    with pytest.raises(ValueError, match="sample_budget"):
+        SDConfig(sample_budget=MAX_SAMPLE_BUDGET + 1)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sample_budget = 1000000000\n")
+    argv = ["features", str(object_file), "--mode", "exact", "--config", str(cfg_file)]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "feat")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "sample_budget must be in 1..10000000, got 1000000000" in capsys.readouterr().err
+    assert peak < 10_000_000
+
+
 # ---------------------------------------------------------------------------
 # align
 # ---------------------------------------------------------------------------
@@ -385,6 +404,21 @@ def test_spin_mismatched_codebook_dims(tmp_path, object_file, capsys):
     code = main(["spin", str(object_file), "--codebook", str(bad_cb), "--out", str(out)])
     assert code == 2
     assert "dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("whole-image,496\n0\n", 1),  # header without a count
+        ("whole-image,3,1\n0,0,0\n1,x,0\n", 3),  # non-numeric basis value
+    ],
+)
+def test_spin_bad_codebook_exits_2_naming_file_and_line(tmp_path, object_file, capsys, text, line):
+    bad_cb = tmp_path / "bad.csv"
+    bad_cb.write_text(text)
+    code = main(["spin", str(object_file), "--codebook", str(bad_cb), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert f"bad.csv:{line}: " in capsys.readouterr().err
 
 
 def test_spin_requires_train_or_codebook(tmp_path, object_file):

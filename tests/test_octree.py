@@ -9,13 +9,12 @@ from lidarshape.octree import (
     REP_DTYPE,
     OctreeConfig,
     build_octree,
-    iter_nodes,
     nodes_at_level,
     subvoxel_grid_per_axis,
 )
 from lidarshape.synth import make_object
 
-from _oracles import build_octree_recursive
+from _oracles import build_octree_recursive, iter_nodes
 
 
 def test_single_point_cloud_is_leaf():

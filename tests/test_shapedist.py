@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lidarshape.shapedist as shapedist
 from lidarshape.core import Histogram1D, PointCloud, Transform4DOF, apply_transform
@@ -16,17 +17,19 @@ from lidarshape.shapedist import (
     ARITY,
     SDConfig,
     _all_combinations,
+    _central_difference_mags,
     _gaussian_bin_mass,
     _sample_tuples,
     exact_sd,
     hsd,
-    measure,
+    measure_many,
     moment_votes,
     sd_ranges,
     write_features_csv,
 )
 from lidarshape.synth import make_object
 
+import _oracles
 from _oracles import (
     brute_force_histogram,
     exact_sd_one_shot,
@@ -37,8 +40,13 @@ from _oracles import (
 
 
 # ---------------------------------------------------------------------------
-# measure
+# measure_many on one tuple
 # ---------------------------------------------------------------------------
+
+
+def measure(kind, pts):
+    """The kernel's value for one tuple, passed as one-row arrays."""
+    return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[None] for p in pts])[0][0])
 
 
 def test_d2_345_triangle():
@@ -87,6 +95,40 @@ def test_measure_rigid_invariance():
 
 
 # ---------------------------------------------------------------------------
+# measure_many against the separate chains it replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(
+    unit=arrays(np.float64, (10, 3), elements=st.floats(-1.0, 1.0)),
+    scale=st.floats(1e-3, 1e3),
+    rounded=st.booleans(),
+    idx=arrays(np.int64, (30, 4), elements=st.integers(0, 9)),
+)
+def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx):
+    """Values, gradient magnitudes and batched central differences are
+    bitwise the old `measure_many`, `gradient_magnitudes` and per-row
+    `_central_difference_mags`, degenerate rows included."""
+    positions = np.round(unit * scale) if rounded else unit * scale
+    # rep 1 on rep 0, rep 3 on the line through reps 0 and 2, rep 4 in the
+    # plane of reps 0, 2 and 5: exactly so for integer coordinates
+    positions[1] = positions[0]
+    positions[3] = 2.0 * positions[2] - positions[0]
+    positions[4] = positions[2] + positions[5] - positions[0]
+    parts = [positions[idx[:, i]] for i in range(ARITY[kind])]
+    values, mags = measure_many(kind, parts, gradients=True)
+    assert values.tobytes() == _oracles.measure_many(kind, parts).tobytes()
+    assert measure_many(kind, parts)[0].tobytes() == values.tobytes()
+    old = _oracles.gradient_magnitudes(kind, parts)
+    assert [m.tobytes() for m in mags] == [m.tobytes() for m in old]
+    tuple_pts = np.stack(parts, axis=1)
+    ref = np.array([_oracles._central_difference_mags(kind, t) for t in tuple_pts])
+    assert _central_difference_mags(kind, tuple_pts).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # exact_sd
 # ---------------------------------------------------------------------------
 
@@ -95,7 +137,7 @@ def test_exact_sd_two_points_all_mass_at_distance():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     feat = exact_sd(cloud, "D2", SDConfig(lo=0.0, hi=2.0))
     h = feat.histogram
-    assert h.mass[h.bin_index(1.0)] == 1.0
+    assert h.mass[Histogram1D.bin_indices([1.0], h.lo, h.hi, h.bins)[0]] == 1.0
 
 
 def test_exact_sd_collinear_a3_mass_in_bin_zero():
@@ -252,7 +294,7 @@ def test_vote_three_sigma_mass_coverage():
     h = Histogram1D.empty(0.0, 1.0, 100)
     sigma = 0.01
     out = one_gaussian(h, mu=0.5, sigma2=sigma**2, weight=1.0)
-    center = h.bin_index(0.5)
+    center = Histogram1D.bin_indices([0.5], h.lo, h.hi, h.bins)[0]
     within = out[center - 3 : center + 4].sum()
     assert within >= 0.997
 
