@@ -38,6 +38,8 @@ ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
 VOTE_BLOCK = 8192
 # the largest sample budget: a T3 tuple table of 10**7 rows takes 320 MB
 MAX_SAMPLE_BUDGET = 10**7
+# grid points of the weighted sampler's CDF lookup table (a power of two)
+CDF_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -317,16 +319,30 @@ def _sample_tuples(
 ) -> np.ndarray:
     """Draw `budget` index tuples with all-distinct entries; slots are drawn
     independently (optionally weighted, via inverse-CDF lookup) and rows with
-    duplicate entries are redrawn."""
-    cum = None if p is None else np.cumsum(p)
+    duplicate entries are redrawn.
+
+    The weighted lookup first reads the CDF index at the grid point below
+    each draw, `b / CDF_GRID`; draws whose grid cell holds no CDF step take
+    it as is, and only the rest search `cum`, so the indices are exactly
+    `searchsorted(cum, u, side="right")`."""
+    if p is not None:
+        cum = np.cumsum(p)
+        at_grid = np.searchsorted(cum, np.arange(CDF_GRID + 1) / CDF_GRID, side="right")
+        settled = at_grid[:-1] == at_grid[1:]
     out = np.empty((budget, r), dtype=np.int64)
     filled = 0
     while filled < budget:
         want = budget - filled
-        if cum is None:
+        if p is None:
             cand = rng.integers(0, n, size=(want, r))
         else:
-            cand = np.searchsorted(cum, rng.random(size=(want, r)), side="right")
+            u = rng.random(size=(want, r))
+            u *= CDF_GRID  # exact: a power of two
+            cand = u.astype(np.int64)
+            slow = ~settled[cand]
+            u = u[slow] / CDF_GRID  # rebinding frees the whole-budget draws
+            cand = at_grid[cand]
+            cand[slow] = np.searchsorted(cum, u, side="right")
             np.clip(cand, 0, n - 1, out=cand)
         if r > 1:
             good = np.ones(want, dtype=bool)

@@ -504,3 +504,27 @@ def exact_sd_one_shot(cloud, kind, cfg):
         idx = _sample_tuples(n, arity, cfg.sample_budget, np.random.default_rng(cfg.seed))
     values = measure_many(kind, [cloud.points[idx[:, i]] for i in range(arity)])
     return Histogram1D.from_values(values, lo, hi, cfg.bins)
+
+
+def sample_tuples_searchsorted(n, r, budget, rng, p=None):
+    """`shapedist._sample_tuples` as it drew before its CDF lookup table:
+    every weighted draw searches the whole cumulative sum."""
+    cum = None if p is None else np.cumsum(p)
+    out = np.empty((budget, r), dtype=np.int64)
+    filled = 0
+    while filled < budget:
+        want = budget - filled
+        if cum is None:
+            cand = rng.integers(0, n, size=(want, r))
+        else:
+            cand = np.searchsorted(cum, rng.random(size=(want, r)), side="right")
+            np.clip(cand, 0, n - 1, out=cand)
+        if r > 1:
+            good = np.ones(want, dtype=bool)
+            for i in range(r):
+                for j in range(i + 1, r):
+                    good &= cand[:, i] != cand[:, j]
+            cand = cand[good]
+        out[filled : filled + cand.shape[0]] = cand
+        filled += cand.shape[0]
+    return out

@@ -36,6 +36,7 @@ from _oracles import (
     gaussian_bin_mass_one_shot,
     histogram_l1,
     moment_votes_one_shot,
+    sample_tuples_searchsorted,
 )
 
 
@@ -318,6 +319,21 @@ def test_all_combinations_match_itertools(r):
         assert got.dtype == np.int64
         assert got.shape == (math.comb(n, r), r)
         assert np.array_equal(got, expected.reshape(-1, r))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_weighted_sample_tuples_match_searchsorted(r):
+    # skewed weights put many CDF steps in one lookup cell and leave others
+    # empty; zero weights, a single-rep spike and a total short of 1 (draws
+    # past the last step) are among them
+    rng = np.random.default_rng(139)
+    spiky = np.r_[np.zeros(5), 60.0, rng.uniform(0.0, 1.0, 40)]
+    for w in (np.ones(127), rng.uniform(1, 30, 300) ** 4, spiky, np.arange(1.0, 9.0)):
+        p = w / w.sum()
+        for q in (p, p * (1 - 1e-3)):
+            got = _sample_tuples(w.shape[0], r, 5000, np.random.default_rng(7), p=q)
+            want = sample_tuples_searchsorted(w.shape[0], r, 5000, np.random.default_rng(7), p=q)
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
