@@ -80,18 +80,15 @@ class RunConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in fields:
                     raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-                kind = fields[key].type
+                parse = {"int": int, "float": float}.get(fields[key].type, str)
                 try:
-                    if kind == "int":
-                        setattr(cfg, key, int(value))
-                    elif kind == "float":
-                        setattr(cfg, key, float(value))
-                    else:
-                        setattr(cfg, key, value)
+                    setattr(cfg, key, parse(value))
                 except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: bad value {value!r} for {key}"
-                    ) from None
+                    raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+                try:  # each key is checked alone, so the failing line is this one
+                    cfg.sd_config(), cfg.octree_config()
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cfg
 
     def sd_config(self) -> SDConfig:

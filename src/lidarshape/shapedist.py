@@ -18,7 +18,8 @@ Both paths measure through one per-kind kernel, `measure_many`, which
 returns the values and, for HSD, the per-slot gradient magnitudes from the
 same edge vectors, cross product and norms. They measure their tuple table
 `VOTE_BLOCK` rows at a time, so a call's temporaries stay one block in size
-whatever the sample budget (at most `MAX_SAMPLE_BUDGET`).
+whatever the sample budget (at most `MAX_SAMPLE_BUDGET`). HSD's Gaussian
+votes are quantized; `_gaussian_bin_mass` states how, and its error bound.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
 VOTE_BLOCK = 8192
 # the largest sample budget: a T3 tuple table of 10**7 rows takes 320 MB
 MAX_SAMPLE_BUDGET = 10**7
-# grid points of the weighted sampler's CDF lookup table (a power of two)
-CDF_GRID = 4096
+CDF_GRID = 4096  # grid points of the weighted sampler's lookup table, a power of two
 
 
 @dataclass(frozen=True)
@@ -218,82 +218,72 @@ def moment_votes(
 # ---------------------------------------------------------------------------
 
 
+# sigma classes per octave, mean cells per sigma, window half-width in sigmas,
+# and the largest |class| (sigma from 2**-1000 to 2**1000 bin widths)
+SIGMA_CLASSES, MEAN_CELLS, WINDOW, MAX_CLASS = 8, 16, 8.0, 8000
+
+
 def _gaussian_bin_mass(
     edges: np.ndarray, mu: np.ndarray, sigma: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
     """Total per-bin mass of weighted Gaussian votes, tails clamped to the
     boundary bins. Shapes: mu/sigma/weight (N,), edges (B+1,); returns (B,).
 
-    Each vote only touches the bins within 8 sigma of its mean; the CDF is
-    evaluated on that window with F := 0 / 1 forced at the window ends, so
-    per-vote mass telescopes to exactly `weight` (out-of-window mass is below
-    1e-15 and lands in the window's edge bins).
+    Sigma = 0 votes are point masses in the bin of their mean; the others are
+    quantized. Sigma goes to class floor(8 log2(sigma / width)), voted at the
+    class's geometric centre sigma_k (within a factor 2^(1/16)), and the mean
+    to the centre of its cell (within sigma_k / 32): max(16, ceil(16 width /
+    sigma_k)) cells per bin, counted from the nearest edge, and those past
+    8 sigma_k from it share one point-mass kernel. The cells reach one range
+    past each end, so means out of range keep their place (farther ones move
+    to the ends), and windows of 8 sigma_k, capped at 2 B bins, cover the
+    range from any cell. Weights are summed per (class, cell) by `bincount`;
+    `ndtr` runs once per class and occupied cell offset with F := 0 / 1 at
+    the window ends, so each cell's mass telescopes to its weight, and a
+    chunk of cells is deposited at a time. Per unit weight, a vote's L1 to
+    its own windowed Gaussian is at most 2 TV(N(0, 1), N(0, 2^(1/8))) +
+    2 TV(N(0, 1), N(1/32, 1)) = 0.067.
     """
+    from scipy.special import ndtr  # deferred: only HSD voting needs it
+
     bins = edges.shape[0] - 1
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
-    out = np.zeros(bins)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-
-    center = np.clip(np.floor((mu - lo) / width).astype(np.int64), 0, bins - 1)
+    mu, sigma, weight = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, weight))
+    t = np.clip((mu - lo) / width, -bins, 2 * bins)  # in bins, on the padded grid
     point = sigma <= 0
-    if np.any(point):
-        np.add.at(out, center[point], weight[point])
-    if np.all(point):
-        return out
-
-    smooth = ~point
-    half = np.ceil(8.0 * sigma[smooth] / width).astype(np.int64)
-    np.clip(half, 1, bins, out=half)
-    c_s, mu_s, sig_s, w_s = center[smooth], mu[smooth], sigma[smooth], weight[smooth]
-    # the same bits as lo + i * width for each edge index i
-    edge_values = lo + np.arange(bins + 1) * width
-
-    bucket = 1
-    while True:
-        sel = half <= bucket if bucket < bins else np.ones_like(half, dtype=bool)
-        sel &= half > bucket // 2
-        if np.any(sel):
-            _window_votes(out, edge_values, bucket, c_s[sel], mu_s[sel], sig_s[sel], w_s[sel])
-        if bucket >= bins:
+    center = np.clip(t[point], 0, bins - 1).astype(np.int64)
+    out = np.bincount(center, weight[point], minlength=bins).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        cls = np.clip(np.floor(SIGMA_CLASSES * np.log2(sigma / width)), -MAX_CLASS, MAX_CLASS)
+    cls[point] = MAX_CLASS + 1  # sorts last and is skipped
+    order = np.argsort(cls.astype(np.int16), kind="stable")
+    classes, first = np.unique(cls[order], return_index=True)
+    for k, members in zip(classes.tolist(), np.split(order, first[1:])):
+        if k > MAX_CLASS:
             break
-        bucket *= 2
+        s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)  # sigma_k in bins
+        cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
+        half = min(math.ceil(WINDOW * s), 2 * bins)
+        reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)  # cells per side
+        edge = np.rint(t[members])
+        # measured from the same edge value the windowed votes compared with
+        cell = np.floor((mu[members] - (lo + edge * width)) / width * cells)
+        cell = (np.clip(cell, -reach, reach - 1) + reach + (edge + bins) * (2 * reach)).astype(int)
+        grid = np.bincount(cell, weight[members], minlength=(3 * bins + 1) * 2 * reach)
+        occupied = np.flatnonzero(grid)
+        edge_of, offset = np.divmod(occupied, 2 * reach)
+        offset, row = np.unique(offset, return_inverse=True)
+        cols = np.arange(-half - 1, half + 1)  # bins from a cell's edge
+        cdf = ndtr((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
+        cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+        kernel, w = np.diff(cdf, axis=1), grid[occupied]
+        rows = max(1, 16384 // cols.size)  # cells deposited at once
+        for begin in range(0, w.size, rows):
+            sl = slice(begin, begin + rows)
+            bin_idx = np.clip(edge_of[sl, None] - bins + cols, 0, bins - 1).ravel()
+            out += np.bincount(bin_idx, (kernel[row[sl]] * w[sl, None]).ravel(), minlength=bins)
     return out
-
-
-def _window_votes(out, edge_values, half, center, mu, sigma, weight, chunk=16384):
-    """Accumulate votes whose support fits in `center +- half` bins, `chunk`
-    window cells at a time through buffers made once per call."""
-    from scipy.special import ndtr  # deferred: only HSD voting needs it
-
-    bins = out.shape[0]
-    edge_off = np.arange(-half, half + 2)
-    rows = max(1, chunk // (2 * half + 2))
-    size = min(rows, center.shape[0])
-    edge_buf = np.empty((size, 2 * half + 2), dtype=np.int64)
-    bin_buf = np.empty((size, 2 * half + 1), dtype=np.int64)
-    cdf_buf = np.empty((size, 2 * half + 2))
-    mass_buf = np.empty((size, 2 * half + 1))
-    for start in range(0, center.shape[0], rows):
-        c = center[start : start + rows, None]
-        n = c.shape[0]
-        edge_idx, bin_idx, cdf, mass = edge_buf[:n], bin_buf[:n], cdf_buf[:n], mass_buf[:n]
-        np.add(c, edge_off, out=edge_idx)
-        np.clip(edge_idx, 0, bins, out=edge_idx)
-        np.take(edge_values, edge_idx, out=cdf)
-        cdf -= mu[start : start + n, None]
-        cdf /= sigma[start : start + n, None]
-        # the window ends are forced to 0 and 1, so only the interior needs the CDF
-        ndtr(cdf[:, 1:-1], out=cdf[:, 1:-1])
-        cdf[:, 0] = 0.0
-        cdf[:, -1] = 1.0
-        np.subtract(cdf[:, 1:], cdf[:, :-1], out=mass)
-        mass *= weight[start : start + n, None]
-        np.add(c, edge_off[:-1], out=bin_idx)
-        np.clip(bin_idx, 0, bins - 1, out=bin_idx)
-        np.add.at(out, bin_idx.ravel(), mass.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +309,9 @@ def _sample_tuples(
 ) -> np.ndarray:
     """Draw `budget` index tuples with all-distinct entries; slots are drawn
     independently (optionally weighted, via inverse-CDF lookup) and rows with
-    duplicate entries are redrawn.
-
-    The weighted lookup first reads the CDF index at the grid point below
-    each draw, `b / CDF_GRID`; draws whose grid cell holds no CDF step take
-    it as is, and only the rest search `cum`, so the indices are exactly
-    `searchsorted(cum, u, side="right")`."""
+    duplicate entries are redrawn. A weighted draw in a `CDF_GRID` cell
+    without a CDF step takes the index at the cell's grid point; only the
+    rest search `cum`, so every index is `searchsorted(cum, u, "right")`."""
     if p is not None:
         cum = np.cumsum(p)
         at_grid = np.searchsorted(cum, np.arange(CDF_GRID + 1) / CDF_GRID, side="right")

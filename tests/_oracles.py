@@ -7,8 +7,12 @@ the closed-form implementations against brute force. The loop references
 `single_linkage_scan`, `build_octree_recursive`) are the plain per-item
 versions that the vectorized library code must match bit for bit, and the
 one-shot shape-distribution references (`moment_votes_one_shot`,
-`gaussian_bin_mass_one_shot`, `exact_sd_one_shot`) are the whole-budget
+`exact_sd_one_shot`) are the whole-budget
 versions that the blocked library code must match bit for bit.
+`gaussian_bin_mass_windowed` and `_window_votes` are the per-vote Gaussian
+voting the library used before quantized voting: every vote evaluates the
+CDF over its own window, and the quantized votes must match it within the
+error bound stated in `shapedist._gaussian_bin_mass`.
 
 `measure`, `measure_many`, `gradient_magnitudes` and
 `_central_difference_mags` are the separate value, gradient and per-row
@@ -443,50 +447,82 @@ def moment_votes_one_shot(kind, positions, scatters, idx):
     return mu, sigma2
 
 
-def gaussian_bin_mass_one_shot(edges, mu, sigma, weight):
-    """Gaussian vote mass with fresh window arrays per chunk and the CDF on
-    every window column, as `shapedist._gaussian_bin_mass` voted before its
-    window buffers were reused."""
-    from scipy.special import ndtr
+def gaussian_bin_mass_windowed(
+    edges: np.ndarray, mu: np.ndarray, sigma: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """Total per-bin mass of weighted Gaussian votes, tails clamped to the
+    boundary bins. Shapes: mu/sigma/weight (N,), edges (B+1,); returns (B,).
 
+    Each vote only touches the bins within 8 sigma of its mean; the CDF is
+    evaluated on that window with F := 0 / 1 forced at the window ends, so
+    per-vote mass telescopes to exactly `weight` (out-of-window mass is below
+    1e-15 and lands in the window's edge bins).
+    """
     bins = edges.shape[0] - 1
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
     out = np.zeros(bins)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+
     center = np.clip(np.floor((mu - lo) / width).astype(np.int64), 0, bins - 1)
     point = sigma <= 0
     if np.any(point):
         np.add.at(out, center[point], weight[point])
     if np.all(point):
         return out
+
     smooth = ~point
     half = np.ceil(8.0 * sigma[smooth] / width).astype(np.int64)
     np.clip(half, 1, bins, out=half)
     c_s, mu_s, sig_s, w_s = center[smooth], mu[smooth], sigma[smooth], weight[smooth]
+    # the same bits as lo + i * width for each edge index i
+    edge_values = lo + np.arange(bins + 1) * width
+
     bucket = 1
     while True:
         sel = half <= bucket if bucket < bins else np.ones_like(half, dtype=bool)
         sel &= half > bucket // 2
         if np.any(sel):
-            center_b, mu_b, sig_b, w_b = c_s[sel], mu_s[sel], sig_s[sel], w_s[sel]
-            edge_off = np.arange(-bucket, bucket + 2)
-            bin_off = np.arange(-bucket, bucket + 1)
-            rows = max(1, 16384 // (2 * bucket + 2))
-            for start in range(0, center_b.shape[0], rows):
-                stop = start + rows
-                c = center_b[start:stop]
-                edge_idx = np.clip(c[:, None] + edge_off[None, :], 0, bins)
-                z = (lo + edge_idx * width - mu_b[start:stop, None]) / sig_b[start:stop, None]
-                cdf = ndtr(z)
-                cdf[:, 0] = 0.0
-                cdf[:, -1] = 1.0
-                mass = np.diff(cdf, axis=1) * w_b[start:stop, None]
-                bin_idx = np.clip(c[:, None] + bin_off[None, :], 0, bins - 1)
-                np.add.at(out, bin_idx.ravel(), mass.ravel())
+            _window_votes(out, edge_values, bucket, c_s[sel], mu_s[sel], sig_s[sel], w_s[sel])
         if bucket >= bins:
             break
         bucket *= 2
     return out
+
+
+def _window_votes(out, edge_values, half, center, mu, sigma, weight, chunk=16384):
+    """Accumulate votes whose support fits in `center +- half` bins, `chunk`
+    window cells at a time through buffers made once per call."""
+    from scipy.special import ndtr  # deferred: only HSD voting needs it
+
+    bins = out.shape[0]
+    edge_off = np.arange(-half, half + 2)
+    rows = max(1, chunk // (2 * half + 2))
+    size = min(rows, center.shape[0])
+    edge_buf = np.empty((size, 2 * half + 2), dtype=np.int64)
+    bin_buf = np.empty((size, 2 * half + 1), dtype=np.int64)
+    cdf_buf = np.empty((size, 2 * half + 2))
+    mass_buf = np.empty((size, 2 * half + 1))
+    for start in range(0, center.shape[0], rows):
+        c = center[start : start + rows, None]
+        n = c.shape[0]
+        edge_idx, bin_idx, cdf, mass = edge_buf[:n], bin_buf[:n], cdf_buf[:n], mass_buf[:n]
+        np.add(c, edge_off, out=edge_idx)
+        np.clip(edge_idx, 0, bins, out=edge_idx)
+        np.take(edge_values, edge_idx, out=cdf)
+        cdf -= mu[start : start + n, None]
+        cdf /= sigma[start : start + n, None]
+        # the window ends are forced to 0 and 1, so only the interior needs the CDF
+        ndtr(cdf[:, 1:-1], out=cdf[:, 1:-1])
+        cdf[:, 0] = 0.0
+        cdf[:, -1] = 1.0
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=mass)
+        mass *= weight[start : start + n, None]
+        np.add(c, edge_off[:-1], out=bin_idx)
+        np.clip(bin_idx, 0, bins - 1, out=bin_idx)
+        np.add.at(out, bin_idx.ravel(), mass.ravel())
 
 
 def exact_sd_one_shot(cloud, kind, cfg):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -68,6 +69,25 @@ def test_config_rejects_bad_value(tmp_path):
     cfg_file.write_text("bins = many\n")
     with pytest.raises(ValueError, match="bad value"):
         RunConfig.load(cfg_file)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sample_budget = 1000000000", "sample_budget must be in 1..10000000, got 1000000000"),
+        ("bins = 1", "bins must be >= 2, got 1"),
+        ("octree_leaf_capacity = 0", "octree parameters must be positive"),
+    ],
+)
+def test_config_rejects_out_of_range_value_at_its_line(tmp_path, object_file, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"seed = 3\n{line}\n")
+    with pytest.raises(ValueError, match=f"run.cfg:2: {re.escape(message)}"):
+        RunConfig.load(cfg_file)
+    argv = ["features", str(object_file), "--config", str(cfg_file), "--out", str(tmp_path / "f")]
+    assert main(argv) == 2
+    assert f"{cfg_file}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_flag_overrides_config(tmp_path, object_file):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -33,7 +34,7 @@ import _oracles
 from _oracles import (
     brute_force_histogram,
     exact_sd_one_shot,
-    gaussian_bin_mass_one_shot,
+    gaussian_bin_mass_windowed,
     histogram_l1,
     moment_votes_one_shot,
     sample_tuples_searchsorted,
@@ -343,15 +344,34 @@ def test_weighted_sample_tuples_match_searchsorted(r):
 BLOCKS = [1, 7, 16]
 
 
+# A quantized vote's sigma is within 2^(1/16) of its own and its mean within
+# sigma / 32 of its own, so its L1 to the windowed vote is at most
+# 2 TV(N(0, 1), N(0, R^2)) + 2 TV(N(0, 1), N(1/32, 1)) per unit weight; the
+# two scale densities cross at +-X.
+R = 2.0 ** (1 / 16)
+X = R * math.sqrt(2 * math.log(R) / (R * R - 1))
+VOTE_L1 = 4 * (ndtr(X) - ndtr(X / R)) + 2 * (2 * ndtr(1 / 64) - 1)
+
+
+def assert_mass_near_windowed(edges, mu, sigma, weight, per_weight=VOTE_L1):
+    """Quantized vote mass against the windowed votes: equal totals, and
+    L1 within `per_weight` of the total weight."""
+    mass = _gaussian_bin_mass(edges, mu, sigma, weight)
+    want = gaussian_bin_mass_windowed(edges, mu, sigma, weight)
+    assert (mass >= 0).all()
+    assert mass.sum() == pytest.approx(want.sum(), rel=1e-12)
+    assert np.abs(mass - want).sum() <= per_weight * weight.sum() + 1e-12
+    return mass
+
+
 def assert_votes_match_one_shot(kind, positions, scatters, idx, edges):
-    """Blocked moments and vote mass are bitwise the one-shot ones."""
+    """Blocked moments are bitwise the one-shot ones; their vote mass is
+    within the quantization bound of the windowed votes."""
     mu, sigma2 = moment_votes(kind, positions, scatters, idx)
     mu_ref, sigma2_ref = moment_votes_one_shot(kind, positions, scatters, idx)
     assert mu.tobytes() == mu_ref.tobytes()
     assert sigma2.tobytes() == sigma2_ref.tobytes()
-    weight = np.linspace(0.5, 2.0, idx.shape[0])
-    mass = _gaussian_bin_mass(edges, mu, np.sqrt(sigma2), weight)
-    assert mass.tobytes() == gaussian_bin_mass_one_shot(edges, mu, np.sqrt(sigma2), weight).tobytes()
+    assert_mass_near_windowed(edges, mu, np.sqrt(sigma2), np.linspace(0.5, 2.0, idx.shape[0]))
     return mu, sigma2
 
 
@@ -421,17 +441,39 @@ def test_blocked_votes_clipped_at_both_ends(monkeypatch, kind, block):
 
 
 def test_gaussian_bin_mass_many_chunks_matches_one_shot():
-    # 30k votes spread over every window bucket, several chunks per bucket
-    # with a partial last one, sigma = 0 votes among them and means beyond
-    # both ends of the range
+    # 30k votes over sigma classes 1e-4 to 10^0.5 (window half-widths 1 to
+    # the 2 * bins cap), several deposit chunks per class with a partial
+    # last one, sigma = 0 votes among them and means beyond both ends of the
+    # range
     rng = np.random.default_rng(131)
     n = 30_000
     mu = rng.uniform(-0.3, 1.3, size=n)
     sigma = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-4, 0.5, size=n))
     weight = rng.uniform(0.1, 3.0, size=n)
-    edges = np.linspace(0.0, 1.0, 65)
-    got = _gaussian_bin_mass(edges, mu, sigma, weight)
-    assert got.tobytes() == gaussian_bin_mass_one_shot(edges, mu, sigma, weight).tobytes()
+    assert_mass_near_windowed(np.linspace(0.0, 1.0, 65), mu, sigma, weight, per_weight=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bins=st.integers(2, 40),
+    votes=st.lists(
+        st.tuples(
+            st.floats(-1e4, 1e4),  # mean, in range lengths from lo
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),  # sigma, in bin widths
+            st.floats(0.0, 10.0),  # weight
+        ),
+        min_size=1,
+        max_size=50,
+    ),
+)
+def test_vote_mass_conserved_property(bins, votes):
+    # far-out means and extreme sigmas: every vote lands whole, none negative
+    lo, hi = -0.7, 2.3
+    t, sigma, weight = (np.array(col) for col in zip(*votes))
+    width = (hi - lo) / bins
+    mass = _gaussian_bin_mass(np.linspace(lo, hi, bins + 1), lo + t * (hi - lo), sigma * width, weight)
+    assert (mass >= 0).all()
+    assert mass.sum() == pytest.approx(weight.sum(), rel=1e-12, abs=1e-300)
 
 
 _rep_coords = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.0, 0.0, 1.0]))
