@@ -218,8 +218,7 @@ def moment_votes(
 # ---------------------------------------------------------------------------
 
 
-# sigma classes per octave, mean cells per sigma, window half-width in sigmas,
-# and the largest |class| (sigma from 2**-1000 to 2**1000 bin widths)
+# classes per octave, cells per sigma, window in sigmas, largest |class| (2**+-1000 widths)
 SIGMA_CLASSES, MEAN_CELLS, WINDOW, MAX_CLASS = 8, 16, 8.0, 8000
 
 
@@ -249,19 +248,15 @@ def _gaussian_bin_mass(
     bins = edges.shape[0] - 1
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
-    mu, sigma, weight = (np.asarray(a, dtype=np.float64) for a in (mu, sigma, weight))
     t = np.clip((mu - lo) / width, -bins, 2 * bins)  # in bins, on the padded grid
     point = sigma <= 0
     center = np.clip(t[point], 0, bins - 1).astype(np.int64)
     out = np.bincount(center, weight[point], minlength=bins).astype(np.float64)
-    with np.errstate(divide="ignore"):
-        cls = np.clip(np.floor(SIGMA_CLASSES * np.log2(sigma / width)), -MAX_CLASS, MAX_CLASS)
-    cls[point] = MAX_CLASS + 1  # sorts last and is skipped
+    smooth = np.flatnonzero(sigma > 0)
+    cls = np.clip(np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width)), -MAX_CLASS, MAX_CLASS)
     order = np.argsort(cls.astype(np.int16), kind="stable")
     classes, first = np.unique(cls[order], return_index=True)
-    for k, members in zip(classes.tolist(), np.split(order, first[1:])):
-        if k > MAX_CLASS:
-            break
+    for k, members in zip(classes.tolist(), np.split(smooth[order], first[1:])):
         s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)  # sigma_k in bins
         cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
         half = min(math.ceil(WINDOW * s), 2 * bins)
@@ -417,10 +412,15 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
 
 
 def write_features_csv(features: Sequence[SDFeature], path) -> None:
-    """CSV export: kind, bin_index, bin_lo, bin_hi, mass."""
+    """CSV export: kind, bin_index, bin_lo, bin_hi, mass (9 significant digits)."""
     with open(path, "w") as fh:
         fh.write("kind,bin_index,bin_lo,bin_hi,mass\n")
         for feat in features:
             edges = feat.histogram.edges()
-            for i, m in enumerate(feat.histogram.mass):
+            mass = [float(f"{m:.9g}") for m in feat.histogram.mass]
+            gap = float(feat.histogram.mass.sum()) - sum(mass)
+            if abs(gap) > 1e-9:  # the largest bin takes up the printed masses' rounding
+                top = mass.index(max(mass))
+                mass[top] = float(f"{mass[top] + gap:.9g}")
+            for i, m in enumerate(mass):
                 fh.write(f"{feat.kind},{i},{edges[i]:.9g},{edges[i + 1]:.9g},{m:.9g}\n")

@@ -17,6 +17,7 @@ from lidarshape.shapedist import (
     KINDS,
     ARITY,
     SDConfig,
+    SDFeature,
     _all_combinations,
     _central_difference_mags,
     _gaussian_bin_mass,
@@ -629,3 +630,18 @@ def test_write_features_csv(tmp_path):
     assert lines[0] == "kind,bin_index,bin_lo,bin_hi,mass"
     assert len(lines) == 1 + 2 * 8
     assert lines[1].startswith("D2,0,")
+
+
+def test_write_features_csv_printed_masses_sum_to_one(tmp_path):
+    # four masses of 0.2222222224 print as 0.222222222 and miss 1 by 1.6e-9;
+    # the largest bin takes up the difference, and a histogram whose printed
+    # masses already sum to 1 is printed digit for digit
+    off = np.array([0.2222222224] * 4 + [1.0 - 4 * 0.2222222224])
+    exact = np.array([0.125, 0.375, 0.5])
+    feats = [SDFeature(k, Histogram1D(0.0, 1.0, m)) for k, m in (("D2", off), ("A3", exact))]
+    write_features_csv(feats, tmp_path / "f.csv")
+    rows = [line.split(",") for line in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+    printed = {k: np.array([float(r[4]) for r in rows if r[0] == k]) for k in ("D2", "A3")}
+    assert abs(printed["D2"].sum() - 1.0) <= 1e-9
+    assert abs(off.sum() - 1.0) <= 1e-15 and abs(sum(float(f"{m:.9g}") for m in off) - 1.0) > 1e-9
+    assert [r[4] for r in rows if r[0] == "A3"] == ["0.125", "0.375", "0.5"]
