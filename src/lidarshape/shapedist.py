@@ -248,20 +248,20 @@ def _gaussian_bin_mass(
     bins = edges.shape[0] - 1
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
-    t = np.clip((mu - lo) / width, -bins, 2 * bins)  # in bins, on the padded grid
     point = sigma <= 0
-    center = np.clip(t[point], 0, bins - 1).astype(np.int64)
+    center = np.clip((mu[point] - lo) / width, 0, bins - 1).astype(np.int64)
     out = np.bincount(center, weight[point], minlength=bins).astype(np.float64)
     smooth = np.flatnonzero(sigma > 0)
-    cls = np.clip(np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width)), -MAX_CLASS, MAX_CLASS)
-    order = np.argsort(cls.astype(np.int16), kind="stable")
+    cls = np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width))
+    cls = np.clip(cls, -MAX_CLASS, MAX_CLASS).astype(np.int16)
+    order = np.argsort(cls, kind="stable")
     classes, first = np.unique(cls[order], return_index=True)
     for k, members in zip(classes.tolist(), np.split(smooth[order], first[1:])):
         s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)  # sigma_k in bins
         cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
         half = min(math.ceil(WINDOW * s), 2 * bins)
         reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)  # cells per side
-        edge = np.rint(t[members])
+        edge = np.rint(np.clip((mu[members] - lo) / width, -bins, 2 * bins))  # on the padded grid
         # measured from the same edge value the windowed votes compared with
         cell = np.floor((mu[members] - (lo + edge * width)) / width * cells)
         cell = (np.clip(cell, -reach, reach - 1) + reach + (edge + bins) * (2 * reach)).astype(int)
