@@ -262,7 +262,7 @@ def _gaussian_bin_mass(
         half = min(math.ceil(WINDOW * s), 2 * bins)
         reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)  # cells per side
         edge = np.rint(np.clip((mu[members] - lo) / width, -bins, 2 * bins))  # on the padded grid
-        # measured from the same edge value the windowed votes compared with
+        # from the edge's own value, so which side of it a mean lies on is exact
         cell = np.floor((mu[members] - (lo + edge * width)) / width * cells)
         cell = (np.clip(cell, -reach, reach - 1) + reach + (edge + bins) * (2 * reach)).astype(int)
         grid = np.bincount(cell, weight[members], minlength=(3 * bins + 1) * 2 * reach)

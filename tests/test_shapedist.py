@@ -633,7 +633,7 @@ def test_write_features_csv(tmp_path):
 
 
 def test_write_features_csv_printed_masses_sum_to_one(tmp_path):
-    # four masses of 0.2222222224 print as 0.222222222 and miss 1 by 1.6e-9;
+    # masses of 4 x 0.2222222224 and 0.1111111104 print to 9 digits 2e-9 short of 1;
     # the largest bin takes up the difference, and a histogram whose printed
     # masses already sum to 1 is printed digit for digit
     off = np.array([0.2222222224] * 4 + [1.0 - 4 * 0.2222222224])
