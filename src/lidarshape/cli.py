@@ -251,8 +251,8 @@ def cmd_spin(args) -> int:
     codes = spinimage.encode_all(images, cb)
     with open(out / "codes.csv", "w") as fh:
         fh.write("point_index," + ",".join(f"c{i}" for i in range(spinimage.CODE_COUNT)) + "\n")
-        for i, code in enumerate(codes):
-            fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in code.coeffs) + "\n")
+        for i, row in enumerate(codes.tolist()):
+            fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
 
     labeling = spinimage.cluster_parts(codes, cfg.parts_k, seed=cfg.seed + SEED_SPIN_CLUSTER)
     with open(out / "labels.csv", "w") as fh:

@@ -6,13 +6,16 @@ float64 arrays, axis-aligned bounding boxes, fixed-range 1-D histograms, and
 the 4-degree-of-freedom rigid transform used for upright street objects
 (planar translation, vertical translation, rotation about the z axis).
 
-All types are immutable after construction and every function here is pure,
+All types are immutable after construction and every function here but
+`one_blas_thread` (which sets the process-wide BLAS thread count) is pure,
 so concurrent use from multiple threads is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -264,6 +267,35 @@ def emd_1d(a: Histogram1D, b: Histogram1D) -> float:
         if abs(h.total() - 1.0) > 1e-6:
             raise ValueError(f"{name} histogram is not normalized (sum={h.total()})")
     return float(np.abs(a.cdf() - b.cdf()).sum() * a.bin_width)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS; no-ops elsewhere."""
+    import ctypes
+
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+    lib = next((ctypes.CDLL(str(path)) for path in sorted(libs)), None)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        return (lambda: 1), (lambda threads: None)
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the old count, so
+    eigensolver bits do not depend on OPENBLAS_NUM_THREADS. Does nothing
+    where numpy uses another BLAS."""
+    get, put = _openblas_thread_calls()
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 # ---------------------------------------------------------------------------

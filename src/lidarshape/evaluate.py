@@ -209,12 +209,6 @@ class CategoryStats:
 class GroupStats:
     per_category: Tuple[CategoryStats, ...]
 
-    def by_name(self, category: str) -> CategoryStats:
-        for stats in self.per_category:
-            if stats.category == category:
-                return stats
-        raise KeyError(category)
-
 
 def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> GroupStats:
     """Population mean/variance of within- and across-category entries.

@@ -116,7 +116,7 @@ def tile_features(grid: TileGrid, scene: PointCloud) -> TileFeatures:
     sizes, first = np.unique(counts[by_count], return_index=True)
     for n, sel in zip(sizes, np.split(by_count, first[1:])):
         ground[sel] = np.percentile(z[starts[sel, None] + np.arange(n)], 5, axis=1)
-    heights = z - np.repeat(ground, counts)
+    heights = z - np.repeat(ground, counts) + 0.0  # + 0.0 turns -0.0 into 0.0
     bins = Histogram1D.bin_indices(heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS)
     mass = np.bincount(
         tile_ids * HEIGHT_BINS + bins, minlength=n_tiles * HEIGHT_BINS

@@ -104,7 +104,7 @@ def tile_features_per_tile(grid, scene):
         end += n
         z = scene.points[idx, 2]
         ground = float(np.percentile(z, 5))
-        heights = z - ground
+        heights = z - ground + 0.0  # -0.0 becomes 0.0, as in roi.tile_features
         hist = Histogram1D.from_values(heights, 0.0, HEIGHT_RANGE_MAX, HEIGHT_BINS)
         out.append((n, float(heights.max()), float(heights.min()), hist.mass, n / area))
     return out
@@ -141,36 +141,24 @@ def load_xyz_line_by_line(path):
     return np.array(rows, dtype=np.float64)
 
 
-def spin_image_per_point(cloud, index, axis_mode="global-z", support_radius=None):
-    """Spin image at one point, voted with one O(n) pass and four
-    `np.add.at` calls, as the library computed it before blocked passes."""
-    from lidarshape.spinimage import (
-        GLOBAL_Z,
-        LOCAL_NORMAL,
-        SPIN_COLS,
-        SPIN_ROWS,
-        SpinImage,
-        _local_normal,
-        default_support_radius,
-    )
+def spin_image_per_point(cloud, index, support_radius=None):
+    """Spin image grid at one point about the +z axis, voted with one O(n)
+    pass and four `np.add.at` calls, as the library computed it before
+    blocked passes."""
+    from lidarshape.spinimage import SPIN_COLS, SPIN_ROWS, default_support_radius
 
     if support_radius is None:
         support_radius = default_support_radius(cloud)
     pts = cloud.points
     p = pts[index]
-    if axis_mode == GLOBAL_Z:
-        axis = np.array([0.0, 0.0, 1.0])
-    elif axis_mode == LOCAL_NORMAL:
-        axis = _local_normal(pts, index)
-    else:
-        raise ValueError(f"unknown axis_mode {axis_mode!r}")
+    axis = np.array([0.0, 0.0, 1.0])
 
     rel = np.delete(pts, index, axis=0) - p
     dist = np.linalg.norm(rel, axis=1)
     rel = rel[dist <= support_radius]
     grid = np.zeros((SPIN_ROWS, SPIN_COLS))
     if rel.shape[0] == 0:
-        return SpinImage(grid, support_radius)
+        return grid
 
     beta = rel @ axis
     alpha = np.linalg.norm(rel - beta[:, None] * axis[None, :], axis=1)
@@ -188,7 +176,7 @@ def spin_image_per_point(cloud, index, axis_mode="global-z", support_radius=None
             rows = np.clip(i0 + di, 0, SPIN_ROWS - 1)
             cols = np.clip(j0 + dj, 0, SPIN_COLS - 1)
             np.add.at(grid, (rows, cols), wv * wu)
-    return SpinImage(grid / grid.sum(), support_radius)
+    return grid / grid.sum()
 
 
 def pairwise_distance(a, b, strategy):

@@ -26,7 +26,7 @@ from lidarshape.evaluate import (
 from lidarshape.octree import OctreeConfig, build_octree
 from lidarshape.roi import basic_filter, build_grid, refine_roi, tile_features, train_class_model
 from lidarshape.shapedist import KINDS, SDConfig, exact_sd, hsd, measure_many, sd_ranges
-from lidarshape.spinimage import CODE_COUNT, SpinImage, spin_image_at, spin_images, train_codebook
+from lidarshape.spinimage import CODE_COUNT, spin_image_at, spin_images, train_codebook
 from lidarshape.synth import make_object, make_scene
 from scipy.spatial import cKDTree
 
@@ -268,13 +268,13 @@ def test_spin_invariance_and_pca_oracle():
         moved = apply_transform(cloud, t)
         for i in range(100):
             img = spin_image_at(moved, i, support_radius=radius)
-            worst = max(worst, float(np.abs(img.grid - base[i].grid).max()))
+            worst = max(worst, float(np.abs(img - base[i]).max()))
     invariant_ok = worst < 1e-9
 
     data = rng.normal(size=(50, 31 * 16))
-    images = [SpinImage(np.abs(d).reshape(31, 16), 1.0) for d in data]
+    images = np.abs(data).reshape(-1, 31, 16)
     cb = train_codebook(images)
-    x = np.stack([img.vector() for img in images])
+    x = images.reshape(len(images), -1)
     xc = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(xc, full_matrices=False)
     oracle = vt[:CODE_COUNT]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidarshape import core
 from lidarshape.core import (
     AABB,
     Histogram1D,
@@ -15,6 +16,7 @@ from lidarshape.core import (
     apply_transform,
     emd_1d,
     load_cloud,
+    one_blas_thread,
     save_cloud,
 )
 
@@ -417,3 +419,18 @@ def test_emd_metric_axioms():
         assert dab == pytest.approx(dba, abs=1e-12)
         assert dab >= 0
         assert emd_1d(a, c) <= dab + emd_1d(b, c) + 1e-12
+
+
+def test_one_blas_thread_pins_one_thread_and_restores_the_count():
+    get, put = core._openblas_thread_calls()
+    before = get()
+    put(2)  # a no-op where numpy uses another BLAS; get() then stays 1
+    try:
+        two = get()
+        with pytest.raises(RuntimeError):
+            with one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("the count is restored on an error too")
+        assert get() == two
+    finally:
+        put(before)

@@ -244,12 +244,15 @@ def test_group_stats_identical_within_classes():
         assert cs.ratio == pytest.approx(0.0, abs=1e-9)
 
 
+def by_category(stats):
+    return {cs.category: cs for cs in stats.per_category}
+
+
 def test_single_category_across_undefined():
     rng = np.random.default_rng(31)
     ds = LabeledDataset.from_pairs([(make_object("box", 60, rng), "box") for _ in range(3)])
     m = exact_matrix(ds, SDConfig(sample_budget=500))
-    stats = group_stats(m, ds)
-    cs = stats.by_name("box")
+    cs = by_category(group_stats(m, ds))["box"]
     assert cs.across_mean is None
     assert cs.ratio is None
     assert cs.within_mean is not None
@@ -264,16 +267,16 @@ def test_singleton_category_within_undefined():
         ]
     )
     m = exact_matrix(ds, SDConfig(sample_budget=500))
-    stats = group_stats(m, ds)
-    assert stats.by_name("box").within_mean is None
-    assert stats.by_name("box").across_mean is not None
+    box = by_category(group_stats(m, ds))["box"]
+    assert box.within_mean is None
+    assert box.across_mean is not None
 
 
 def test_group_stats_match_brute_force_loops():
     rng = np.random.default_rng(41)
     ds = tiny_dataset(rng, per_class=4, n=80)
     m = exact_matrix(ds, SDConfig(sample_budget=1_000, seed=9))
-    stats = group_stats(m, ds)
+    stats = by_category(group_stats(m, ds))
 
     cats = list(m.row_categories)
     for cat in ds.categories:
@@ -284,7 +287,7 @@ def test_group_stats_match_brute_force_loops():
                     within.append(m.values[i, j])
                 if cats[i] == cat and cats[j] != cat:
                     across.append(m.values[i, j])
-        cs = stats.by_name(cat)
+        cs = stats[cat]
         # same values in the same order: the same bits
         assert cs.within_mean == float(np.mean(within))
         assert cs.within_var == float(np.var(within))
@@ -299,12 +302,10 @@ def test_group_stats_invariant_to_within_category_permutation():
     ds1 = LabeledDataset.from_pairs(objs)
     ds2 = LabeledDataset.from_pairs([objs[1], objs[0], objs[2]] + objs[3:])
     cfg = SDConfig(sample_budget=1_000, seed=2)
-    s1 = group_stats(exact_matrix(ds1, cfg), ds1)
-    s2 = group_stats(exact_matrix(ds2, cfg), ds2)
+    s1 = by_category(group_stats(exact_matrix(ds1, cfg), ds1))
+    s2 = by_category(group_stats(exact_matrix(ds2, cfg), ds2))
     for cat in ("box", "sphere"):
-        assert s1.by_name(cat).within_mean == pytest.approx(
-            s2.by_name(cat).within_mean, abs=1e-12
-        )
+        assert s1[cat].within_mean == pytest.approx(s2[cat].within_mean, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,27 @@ quantization error `shapedist._gaussian_bin_mass` states: per-histogram L1
 to the windowed votes was 1e-4 to 6e-4 on the two features inputs and up to
 3.8e-3 on the eval input, whose 40-point objects vote few tuples. The same
 bytes come out under one and two BLAS threads.
+
+`SPIN_DIGESTS["codebook.csv"]` was re-recorded when `train_codebook` began
+to compute its covariance and eigensolve on one BLAS thread: LAPACK's
+eigenvectors changed bits with the OpenBLAS thread count, so the file
+depended on `OPENBLAS_NUM_THREADS`. The new digest is the bytes the old code
+wrote under one thread; `codes.csv` and `labels.csv` did not move.
+`test_goldens_do_not_depend_on_blas_threads` runs the spin, align and eval
+goldens under one and two threads.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lidarshape
 from lidarshape.cli import main
 from lidarshape.core import PointCloud, Transform4DOF, save_cloud
 from lidarshape.synth import make_object, make_scene
@@ -54,7 +68,7 @@ FEATURES_HSD_DEFAULT_DIGESTS = {
 }
 
 SPIN_DIGESTS = {
-    "codebook.csv": "a26b4aff77b9252d72b70d1f7b596443669d3ccec20b6a7ffe684114a0f844b8",
+    "codebook.csv": "f7027f810b8cf59b6f1e69ab937d6b1c043ec059f9c57ed42a3d64fefeb3e7ed",
     "codes.csv": "6e03bb025ed16ca722bbc2e3ed7270577a126be871d23c8e409ae09f5ae1ff7e",
     "labels.csv": "93b59252b25fcd9914449a93ae2bbcbdc951f01c88ea157a991d1c106a404800",
     "spin_0000.pgm": "dfe96f5669b109630737487b4dbd7285bee3641928e329757547402e091ba2cc",
@@ -157,14 +171,17 @@ def test_features_hsd_default_budget_outputs_match_golden(tmp_path):
     assert _digests(out) == FEATURES_HSD_DEFAULT_DIGESTS
 
 
-def test_spin_outputs_match_golden(tmp_path):
+def _run_spin(directory):
     cloud = make_object("lshape", 400, np.random.default_rng(4))
-    save_cloud(cloud, tmp_path / "lshape.xyz")
-    out = tmp_path / "spin"
-    argv = ["spin", str(tmp_path / "lshape.xyz"), "--train", "--dump-images", "2"]
-    code = main(argv + ["--out", str(out)])
-    assert code == 0
-    assert _digests(out) == SPIN_DIGESTS
+    save_cloud(cloud, directory / "lshape.xyz")
+    out = directory / "spin"
+    argv = ["spin", str(directory / "lshape.xyz"), "--train", "--dump-images", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    return _digests(out)
+
+
+def test_spin_outputs_match_golden(tmp_path):
+    assert _run_spin(tmp_path) == SPIN_DIGESTS
 
 
 def _eval_manifest(directory):
@@ -181,16 +198,20 @@ def _eval_manifest(directory):
     return path
 
 
-@pytest.mark.parametrize("mode", ["exact", "hsd"])
-def test_eval_outputs_match_golden(tmp_path, mode):
-    manifest = _eval_manifest(tmp_path)
-    out = tmp_path / "eval"
+def _run_eval(directory, mode):
+    manifest = _eval_manifest(directory)
+    out = directory / f"eval_{mode}"
     argv = ["eval", str(manifest), "--mode", mode, "--strategy", "all", "--out", str(out)]
     assert main(argv) == 0
-    assert _digests(out) == EVAL_DIGESTS[mode]
+    return _digests(out)
 
 
-def test_align_outputs_match_golden(tmp_path):
+@pytest.mark.parametrize("mode", ["exact", "hsd"])
+def test_eval_outputs_match_golden(tmp_path, mode):
+    assert _run_eval(tmp_path, mode) == EVAL_DIGESTS[mode]
+
+
+def _run_align(directory):
     # noise-free 4-DOF copies have exactly equal features, and the last two
     # objects duplicate two files: the merge order is decided by its ties
     rng = np.random.default_rng(8)
@@ -200,10 +221,55 @@ def test_align_outputs_match_golden(tmp_path):
         for _ in range(3):
             t = Transform4DOF(*rng.uniform(-3, 3, size=3), float(rng.uniform(-0.5, 0.5)))
             names.append(f"{kind}_{len(names)}.xyz")
-            save_cloud(PointCloud(t.apply_points(base)), tmp_path / names[-1])
+            save_cloud(PointCloud(t.apply_points(base)), directory / names[-1])
     lines = [f"{n},{n.split('_')[0]}" for n in names + [names[1], names[4]]]
-    (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
-    out = tmp_path / "align"
-    argv = ["align", str(tmp_path / "manifest.csv"), "--merged-out", "merged.xyz"]
+    (directory / "manifest.csv").write_text("\n".join(lines) + "\n")
+    out = directory / "align"
+    argv = ["align", str(directory / "manifest.csv"), "--merged-out", "merged.xyz"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert _digests(out) == ALIGN_DIGESTS
+    return _digests(out)
+
+
+def test_align_outputs_match_golden(tmp_path):
+    assert _run_align(tmp_path) == ALIGN_DIGESTS
+
+
+def _thread_checked_runs(directory):
+    """Digests of the spin, align and eval golden runs, each in its own
+    subdirectory of `directory`."""
+    runs = {
+        "spin": _run_spin,
+        "align": _run_align,
+        "eval-exact": lambda d: _run_eval(d, "exact"),
+        "eval-hsd": lambda d: _run_eval(d, "hsd"),
+    }
+    out = {}
+    for name, run in runs.items():
+        (directory / name).mkdir()
+        out[name] = run(directory / name)
+    return out
+
+
+def test_goldens_do_not_depend_on_blas_threads(tmp_path):
+    # each thread count needs a fresh process: OpenBLAS reads the variable
+    # when it loads
+    paths = [str(Path(__file__).parent), str(Path(lidarshape.__file__).resolve().parents[1])]
+    want = {
+        "spin": SPIN_DIGESTS,
+        "align": ALIGN_DIGESTS,
+        "eval-exact": EVAL_DIGESTS["exact"],
+        "eval-hsd": EVAL_DIGESTS["hsd"],
+    }
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import json, pathlib, sys, test_golden; "
+            "digests = test_golden._thread_checked_runs(pathlib.Path(sys.argv[1])); "
+            "print(json.dumps(digests))"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(work)],
+                              capture_output=True, text=True, check=True, env=env)
+        assert json.loads(done.stdout.splitlines()[-1]) == want, threads

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -171,16 +171,29 @@ _heights = st.one_of(
 )
 
 
+_xy_z = st.integers(1, 150).flatmap(
+    lambda n: st.tuples(
+        arrays(np.float64, (n, 2), elements=_coords), arrays(np.float64, n, elements=_heights)
+    )
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    xy=arrays(np.float64, st.tuples(st.integers(1, 150), st.just(2)), elements=_coords),
+    xy_z=_xy_z,
     tile_size=st.sampled_from([1.0, 0.37, 2.5, 7.0]),
     min_points=st.sampled_from([0, 1, 3, 20]),
     height_range=st.sampled_from([(0.3, 10.0), (0.0, 0.0), (-np.inf, np.inf), (1.0, 4.0)]),
-    data=st.data(),
 )
-def test_tile_features_match_per_tile_loop(xy, tile_size, min_points, height_range, data):
-    z = data.draw(arrays(np.float64, xy.shape[0], elements=_heights))
+# a tile of signed zeros: its heights are 0.0, never -0.0
+@example(
+    xy_z=(np.zeros((2, 2)), np.array([-0.0, 0.0])),
+    tile_size=1.0,
+    min_points=0,
+    height_range=(0.0, 0.0),
+)
+def test_tile_features_match_per_tile_loop(xy_z, tile_size, min_points, height_range):
+    xy, z = xy_z
     scene = PointCloud(np.column_stack([xy, z]))
     assert_table_matches_oracles(scene, tile_size, min_points, height_range)
 
@@ -331,3 +344,18 @@ def test_roi_csv_and_pgm(tmp_path):
     assert body[1] == f"{grid.width} {grid.height}"
     pixels = " ".join(body[3:]).split()
     assert len(pixels) == grid.width * grid.height
+
+
+def test_roi_csv_prints_no_negative_zero(tmp_path):
+    # tiles whose heights are all zero, with z of either sign in either order
+    signed_zeros = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0, -0.0]]
+    pts = np.array([[tx + 0.5, 0.5, z] for tx, zs in enumerate(signed_zeros) for z in zs])
+    scene = PointCloud(pts)
+    grid = build_grid(scene, tile_size=1.0)
+    feats = tile_features(grid, scene)
+    path = tmp_path / "roi.csv"
+    write_roi_csv(grid, feats, np.zeros(len(grid.cells), dtype=np.int64), path)
+    values = [v for line in path.read_text().splitlines()[1:] for v in line.split(",")]
+    assert len(values) == 7 * len(signed_zeros)
+    assert "-0" not in values
+    assert np.signbit(feats.max_height).sum() == np.signbit(feats.min_height).sum() == 0

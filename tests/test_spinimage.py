@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarshape import spinimage
 from lidarshape.core import PointCloud, Transform4DOF, apply_transform
@@ -14,9 +16,7 @@ from lidarshape.spinimage import (
     SPIN_COLS,
     SPIN_ROWS,
     WHOLE_IMAGE,
-    SpinImage,
     cluster_parts,
-    encode,
     encode_all,
     load_codebook,
     save_codebook,
@@ -39,12 +39,13 @@ def random_transform(rng):
 
 
 def random_images(rng, n, peaked=False):
-    images = []
-    for _ in range(n):
-        g = rng.uniform(0, 1, size=(SPIN_ROWS, SPIN_COLS))
+    """(n, 31, 16) stack of unit-mass grids."""
+    images = np.empty((n, SPIN_ROWS, SPIN_COLS))
+    for g in images:
+        g[:] = rng.uniform(0, 1, size=(SPIN_ROWS, SPIN_COLS))
         if peaked:
             g[rng.integers(0, SPIN_ROWS), rng.integers(0, SPIN_COLS)] += 20.0
-        images.append(SpinImage(g / g.sum(), 1.0))
+        g /= g.sum()
     return images
 
 
@@ -56,19 +57,28 @@ def random_images(rng, n, peaked=False):
 def test_isolated_point_gives_empty_image():
     cloud = PointCloud(np.array([[0.0, 0, 0], [100.0, 0, 0]]))
     img = spin_image_at(cloud, 0, support_radius=1.0)
-    assert img.is_empty
-    assert img.grid.sum() == 0.0
+    assert img.shape == (SPIN_ROWS, SPIN_COLS)
+    assert not img.any()
+
+
+def test_spin_images_is_one_stack_with_zero_grids_for_isolated_points():
+    cloud = PointCloud(np.array([[0.0, 0, 0], [0.1, 0, 0.2], [100.0, 0, 0]]))
+    images = spin_images(cloud, support_radius=1.0)
+    assert images.shape == (3, SPIN_ROWS, SPIN_COLS)
+    assert images.dtype == np.float64
+    assert images[:2].sum(axis=(1, 2)) == pytest.approx([1.0, 1.0])
+    assert not images[2].any()
 
 
 def test_neighbor_directly_above_lands_on_axis_column():
     h = 0.4
     cloud = PointCloud(np.array([[0.0, 0, 0], [0.0, 0, h]]))
     img = spin_image_at(cloud, 0, support_radius=1.0)
-    assert img.grid.sum() == pytest.approx(1.0)
+    assert img.sum() == pytest.approx(1.0)
     # alpha ~ 0 -> all mass in column 0; beta = h -> rows around (h+R)/rowh
-    assert img.grid[:, 0].sum() == pytest.approx(1.0)
+    assert img[:, 0].sum() == pytest.approx(1.0)
     v = (h + 1.0) / (2.0 / SPIN_ROWS) - 0.5
-    rows = np.nonzero(img.grid[:, 0])[0]
+    rows = np.nonzero(img[:, 0])[0]
     assert set(rows) <= {math.floor(v), math.floor(v) + 1}
 
 
@@ -81,22 +91,34 @@ def test_global_z_invariant_under_4dof():
         moved = apply_transform(cloud, random_transform(rng))
         for i in (0, 17, 59):
             img = spin_image_at(moved, i, support_radius=radius)
-            assert np.abs(img.grid - base[i].grid).max() < 1e-9
+            assert np.abs(img - base[i]).max() < 1e-9
 
 
-def test_local_normal_mode_runs_and_normalizes():
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0, 1, size=(50, 3))
-    pts[:, 2] *= 0.05  # near-planar: normals near +z
-    img = spin_image_at(PointCloud(pts), 3, axis_mode="local-normal", support_radius=1.0)
-    assert img.grid.sum() == pytest.approx(1.0)
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(2, 40), st.just(3)),
+           elements=st.floats(-1.0, 1.0)),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-math.pi, math.pi),
+)
+def test_spin_images_invariant_under_4dof_property(points, tx, ty, tz, theta):
+    # a radius of at least the cloud's diameter: no neighbor crosses the
+    # cutoff, so a moved cloud votes the same pairs (the default radius,
+    # half the axis-aligned bbox diagonal, changes under rotation)
+    cloud = PointCloud(points)
+    radius = 2.0 * math.sqrt(3.0) + 0.5
+    moved = apply_transform(cloud, Transform4DOF(tx=tx, ty=ty, tz=tz, theta=theta))
+    base = spin_images(cloud, support_radius=radius)
+    assert np.abs(spin_images(moved, support_radius=radius) - base).max() <= 1e-12
 
 
 def test_mass_conservation_with_bilinear_clamping():
     rng = np.random.default_rng(9)
     cloud = PointCloud(rng.uniform(-1, 1, size=(40, 3)))
     img = spin_image_at(cloud, 0, support_radius=3.0)
-    assert img.grid.sum() == pytest.approx(1.0, abs=1e-9)
+    assert img.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +131,16 @@ def assert_bitwise_oracle(cloud, support_radius=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # far points must not warn
         images = spin_images(cloud, support_radius=support_radius)
-    assert len(images) == len(cloud)
+    assert images.shape == (len(cloud), SPIN_ROWS, SPIN_COLS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the oracle's norm may overflow
         expected = [spin_image_per_point(cloud, i, support_radius=support_radius)
                     for i in range(len(cloud))]
     for i, (img, want) in enumerate(zip(images, expected)):
-        assert img.grid.tobytes() == want.grid.tobytes(), i
-        assert img.support_radius == want.support_radius
+        assert img.tobytes() == want.tobytes(), i
     for i in {0, len(cloud) // 2, len(cloud) - 1}:
         at = spin_image_at(cloud, i, support_radius=support_radius)
-        assert at.grid.tobytes() == expected[i].grid.tobytes(), i
+        assert at.tobytes() == expected[i].tobytes(), i
 
 
 # on, inside and outside the unit sphere around the first point
@@ -167,7 +188,7 @@ def test_spin_images_partial_last_block_matches_oracle():
     cloud = PointCloud(np.random.default_rng(12).normal(size=(n, 3)))
     images = spin_images(cloud)
     for i in (0, 22, 23, 689, 690, 699):
-        assert images[i].grid.tobytes() == spin_image_per_point(cloud, i).grid.tobytes(), i
+        assert images[i].tobytes() == spin_image_per_point(cloud, i).tobytes(), i
 
 
 def test_one_image_per_block_matches_oracle(monkeypatch):
@@ -187,8 +208,8 @@ def test_spin_image_at_above_block_pairs_matches_oracle():
     for i in (0, 1, n // 2, n - 1):
         at = spin_image_at(cloud, i, support_radius=0.3)
         want = spin_image_per_point(cloud, i, support_radius=0.3)
-        assert at.grid.tobytes() == want.grid.tobytes(), i
-    assert spin_image_at(cloud, -1).grid.tobytes() == spin_image_at(cloud, n - 1).grid.tobytes()
+        assert at.tobytes() == want.tobytes(), i
+    assert spin_image_at(cloud, -1).tobytes() == spin_image_at(cloud, n - 1).tobytes()
 
 
 coords = st.one_of(
@@ -209,23 +230,8 @@ def test_spin_images_match_oracle_property(points, radius):
     assert_bitwise_oracle(cloud, radius)
 
 
-def test_local_normal_matches_oracle_to_tolerance():
-    rng = np.random.default_rng(15)
-    pts = rng.uniform(-1, 1, size=(80, 3))
-    pts[:, 2] *= 0.3
-    cloud = PointCloud(pts)
-    images = spin_images(cloud, axis_mode="local-normal", support_radius=0.9)
-    for i, img in enumerate(images):
-        want = spin_image_per_point(cloud, i, "local-normal", 0.9)
-        assert np.abs(img.grid - want.grid).max() <= 1e-12, i
-    at = spin_image_at(cloud, 7, axis_mode="local-normal", support_radius=0.9)
-    assert at.grid.tobytes() == images[7].grid.tobytes()
-
-
-def test_spin_images_reject_bad_axis_mode_and_radius():
+def test_spin_images_reject_bad_radius():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
-    with pytest.raises(ValueError, match="axis_mode"):
-        spin_images(cloud, axis_mode="tilted")
     with pytest.raises(ValueError, match="support_radius"):
         spin_images(cloud, support_radius=0.0)
     with pytest.raises(ValueError, match="support_radius"):
@@ -256,30 +262,30 @@ def test_codebook_basis_orthonormal():
 def test_identical_images_degenerate_training():
     rng = np.random.default_rng(17)
     img = random_images(rng, 1)[0]
-    cb = train_codebook([img] * 40, WHOLE_IMAGE)
+    cb = train_codebook(np.stack([img] * 40), WHOLE_IMAGE)
     assert cb.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
     gram = cb.basis @ cb.basis.T
     assert np.abs(gram - np.eye(CODE_COUNT)).max() < 1e-6
-    for code in encode_all([img] * 3, cb):
-        assert np.abs(code.coeffs).max() < 1e-9
+    codes = encode_all(np.stack([img] * 3), cb)
+    assert codes.shape == (3, CODE_COUNT)
+    assert np.abs(codes).max() < 1e-9
 
 
 def test_encode_mean_image_is_zero_vector():
     rng = np.random.default_rng(19)
     images = random_images(rng, 50)
     cb = train_codebook(images, WHOLE_IMAGE)
-    mean_img = SpinImage(cb.mean.reshape(SPIN_ROWS, SPIN_COLS), 1.0)
-    assert np.abs(encode(mean_img, cb).coeffs).max() < 1e-9
+    mean_img = cb.mean.reshape(1, SPIN_ROWS, SPIN_COLS)
+    assert np.abs(encode_all(mean_img, cb)).max() < 1e-9
 
 
 def test_encode_is_linear():
     rng = np.random.default_rng(23)
     images = random_images(rng, 40)
     cb = train_codebook(images, WHOLE_IMAGE)
-    a, b = images[0].grid, images[1].grid
-    blend = SpinImage(0.5 * (a + b), 1.0)
-    lhs = encode(blend, cb).coeffs
-    rhs = 0.5 * (encode(images[0], cb).coeffs + encode(images[1], cb).coeffs)
+    blend = 0.5 * (images[0] + images[1])
+    lhs = encode_all(blend[None], cb)[0]
+    rhs = 0.5 * encode_all(images[:2], cb).sum(axis=0)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -292,7 +298,7 @@ def test_reconstruction_improves_with_components():
     def recon_error(n_comp):
         err = 0.0
         for img in held_out:
-            centered = img.vector() - cb.mean
+            centered = img.ravel() - cb.mean
             coeffs = cb.basis[:n_comp] @ centered
             err += float(np.square(centered - cb.basis[:n_comp].T @ coeffs).sum())
         return err
@@ -306,7 +312,7 @@ def test_training_reconstruction_error_matches_dropped_eigenvalues():
     cb = train_codebook(images, WHOLE_IMAGE)
     total = 0.0
     for img in images:
-        centered = img.vector() - cb.mean
+        centered = img.ravel() - cb.mean
         coeffs = cb.basis @ centered
         total += float(np.square(centered - cb.basis.T @ coeffs).sum())
     mean_residual = total / len(images)
@@ -319,10 +325,10 @@ def test_pca_subspace_matches_svd_oracle():
     # direct SVD of the centered data is the independent eigendecomposition
     rng = np.random.default_rng(37)
     data = rng.normal(size=(50, SPIN_ROWS * SPIN_COLS))
-    images = [SpinImage(np.abs(d).reshape(SPIN_ROWS, SPIN_COLS), 1.0) for d in data]
+    images = np.abs(data).reshape(-1, SPIN_ROWS, SPIN_COLS)
     cb = train_codebook(images, WHOLE_IMAGE)
 
-    x = np.stack([img.vector() for img in images])
+    x = images.reshape(len(images), -1)
     xc = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(xc, full_matrices=False)
     oracle = vt[:CODE_COUNT]
@@ -335,23 +341,28 @@ def test_patch_encode_pools_to_30_coefficients():
     rng = np.random.default_rng(39)
     images = random_images(rng, 40, peaked=True)
     cb = train_codebook(images, PATCH_11X11)
-    code = encode(images[0], cb)
-    assert code.coeffs.shape == (CODE_COUNT,)
-    assert np.all(np.isfinite(code.coeffs))
-    again = encode(images[0], cb)
-    assert np.array_equal(code.coeffs, again.coeffs)
+    codes = encode_all(images[:3], cb)
+    assert codes.shape == (3, CODE_COUNT)
+    assert np.all(np.isfinite(codes))
+    for img, code in zip(images, codes):
+        # one image's patch coefficients, mean-pooled
+        patches = np.lib.stride_tricks.sliding_window_view(np.pad(img, 5), (11, 11))
+        coeffs = (patches.reshape(-1, 121) - cb.mean) @ cb.basis.T
+        assert code.tobytes() == coeffs.mean(axis=0).tobytes()
 
 
 def test_encode_dimension_mismatch():
     rng = np.random.default_rng(41)
     cb = train_codebook(random_images(rng, 40), PATCH_11X11)
-    img = random_images(rng, 1)[0]
+    images = random_images(rng, 1)
     whole_cb = train_codebook(random_images(rng, 40), WHOLE_IMAGE)
     mismatched = whole_cb.__class__(
         kind=WHOLE_IMAGE, mean=cb.mean, basis=cb.basis, eigenvalues=None
     )
     with pytest.raises(ValueError, match="dims"):
-        encode(img, mismatched)
+        encode_all(images, mismatched)
+    with pytest.raises(ValueError, match="dims"):
+        encode_all(images, replace(whole_cb, kind=PATCH_11X11))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +370,9 @@ def test_encode_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def make_codes(arr):
-    from lidarshape.spinimage import PointCode
-
-    return [PointCode(np.asarray(row, dtype=float)) for row in arr]
-
-
 def test_k1_labels_all_zero():
     rng = np.random.default_rng(43)
-    codes = make_codes(rng.normal(size=(20, 5)))
+    codes = rng.normal(size=(20, 5))
     out = cluster_parts(codes, 1, seed=0)
     assert set(out.labels.tolist()) == {0}
 
@@ -376,7 +381,7 @@ def test_two_separated_blobs_recovered():
     rng = np.random.default_rng(47)
     blob_a = rng.normal(scale=0.01, size=(30, 4))
     blob_b = rng.normal(scale=0.01, size=(30, 4)) + 1.0
-    codes = make_codes(np.vstack([blob_a, blob_b]))
+    codes = np.vstack([blob_a, blob_b])
     out = cluster_parts(codes, 2, seed=1)
     first, second = out.labels[:30], out.labels[30:]
     assert len(set(first.tolist())) == 1
@@ -386,7 +391,7 @@ def test_two_separated_blobs_recovered():
 
 def test_kmeans_objective_non_increasing():
     rng = np.random.default_rng(53)
-    codes = make_codes(rng.normal(size=(200, 6)))
+    codes = rng.normal(size=(200, 6))
     out = cluster_parts(codes, 4, seed=2)
     hist = out.inertia_history
     assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
@@ -394,14 +399,14 @@ def test_kmeans_objective_non_increasing():
 
 def test_cluster_parts_deterministic():
     rng = np.random.default_rng(59)
-    codes = make_codes(rng.normal(size=(100, 6)))
+    codes = rng.normal(size=(100, 6))
     a = cluster_parts(codes, 5, seed=7)
     b = cluster_parts(codes, 5, seed=7)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_cluster_parts_k_bounds():
-    codes = make_codes(np.zeros((3, 2)))
+    codes = np.zeros((3, 2))
     with pytest.raises(ValueError):
         cluster_parts(codes, 0)
     with pytest.raises(ValueError):
