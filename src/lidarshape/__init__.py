@@ -3,7 +3,7 @@
 Pipeline stages, each in its own module:
 
 - `core`      point clouds, histograms, 4-DOF transforms, xyz/ply I/O, 1-D EMD
-- `octree`    spatial hierarchy with weighted representative points
+- `octree`    spatial hierarchy; node bounds and weighted reps are per-depth rows
 - `shapedist` exact and octree-accelerated shape distribution features
 - `spinimage` spin images, PCA codebooks, point encoding, part clustering
 - `alignment` 4-DOF ICP and divide-and-conquer group alignment
@@ -14,7 +14,6 @@ Pipeline stages, each in its own module:
 """
 
 from .core import (
-    AABB,
     Histogram1D,
     ParseError,
     PointCloud,
@@ -28,7 +27,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AABB",
     "Histogram1D",
     "ParseError",
     "PointCloud",

@@ -35,36 +35,12 @@ from .shapedist import SDConfig, exact_sd
 FEATURE_NAMES = ("height", "radial", "d2", "slab", "plane")
 
 
-@dataclass(frozen=True)
-class ShapeFeatureSet:
-    height: Histogram1D
-    radial: Histogram1D
-    d2: Histogram1D
-    slab: Histogram1D
-    plane: Histogram1D
-
-    def as_dict(self) -> Dict[str, Histogram1D]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
-
-
-@dataclass(frozen=True)
-class FeatureRanges:
-    """Fixed per-feature histogram ranges, shared by every object compared."""
-
-    height: Tuple[float, float]
-    radial: Tuple[float, float]
-    d2: Tuple[float, float]
-    slab: Tuple[float, float] = (0.0, 1.0)
-    plane: Optional[Tuple[float, float]] = None
-
-    def get(self, name: str) -> Tuple[float, float]:
-        if name == "plane" and self.plane is None:
-            return self.radial
-        return getattr(self, name)
-
-
-def feature_ranges_for_group(objects: Sequence[PointCloud]) -> FeatureRanges:
-    """Group-wide maxima so all five histograms share support.
+def feature_ranges_for_group(
+    objects: Sequence[PointCloud],
+) -> Dict[str, Tuple[float, float]]:
+    """Group-wide `{name: (lo, hi)}` ranges so all five histograms share
+    support; slab positions are relative heights in [0, 1], and plane
+    distances share the radial range.
 
     Every bound is derived from rotation-invariant quantities (z extent and
     planar radius about the centroid, never the axis-aligned bbox), so the
@@ -80,11 +56,13 @@ def feature_ranges_for_group(objects: Sequence[PointCloud]) -> FeatureRanges:
         r = float(radial.max())
         r_max = max(r_max, r)
         d_max = max(d_max, math.hypot(2.0 * r, h))  # bounds any pairwise distance
-    return FeatureRanges(
-        height=(0.0, max(h_max, 1e-12)),
-        radial=(0.0, max(r_max, 1e-12)),
-        d2=(0.0, max(d_max, 1e-12)),
-    )
+    return {
+        "height": (0.0, h_max),
+        "radial": (0.0, r_max),
+        "d2": (0.0, d_max),
+        "slab": (0.0, 1.0),
+        "plane": (0.0, r_max),
+    }
 
 
 def _vertical_plane_distances(pts: np.ndarray) -> np.ndarray:
@@ -100,46 +78,33 @@ def _vertical_plane_distances(pts: np.ndarray) -> np.ndarray:
 
 def shape_features(
     cloud: PointCloud,
-    ranges: FeatureRanges,
+    ranges: Dict[str, Tuple[float, float]],
     cfg: SDConfig = SDConfig(),
-) -> ShapeFeatureSet:
-    """The five similarity histograms with 64 bins over the fixed ranges."""
+) -> Dict[str, Histogram1D]:
+    """The five similarity histograms, `{name: histogram}` in FEATURE_NAMES
+    order, with cfg.bins bins over the fixed ranges."""
     pts = cloud.points
-    bins = cfg.bins
-
     z_rel = pts[:, 2] - pts[:, 2].min()
-    lo, hi = ranges.get("height")
-    height = Histogram1D.from_values(z_rel, lo, hi, bins)
-
-    centroid = pts[:, :2].mean(axis=0)
-    radial = np.linalg.norm(pts[:, :2] - centroid, axis=1)
-    lo, hi = ranges.get("radial")
-    radial_h = Histogram1D.from_values(radial, lo, hi, bins)
-
-    lo, hi = ranges.get("d2")
-    if len(cloud) >= 2:
-        d2 = exact_sd(cloud, "D2", cfg.fixed(lo, hi)).histogram
-    else:
-        mass = np.zeros(bins)
-        mass[0] = 1.0
-        d2 = Histogram1D(lo, hi, mass)
-
+    radial = np.linalg.norm(pts[:, :2] - pts[:, :2].mean(axis=0), axis=1)
     span = z_rel.max()
     rel_pos = z_rel / span if span > 0 else np.zeros_like(z_rel)
-    lo, hi = ranges.get("slab")
-    slab = Histogram1D.from_values(rel_pos, lo, hi, bins)
 
-    lo, hi = ranges.get("plane")
-    plane = Histogram1D.from_values(_vertical_plane_distances(pts), lo, hi, bins)
+    lo, hi = ranges["d2"]
+    if len(cloud) >= 2:
+        d2 = exact_sd(cloud, "D2", cfg.fixed(lo, hi)).histogram
+    else:  # one point has no pairs: all mass goes to the first bin
+        d2 = Histogram1D.from_values([lo], lo, hi, cfg.bins)
 
-    return ShapeFeatureSet(height=height, radial=radial_h, d2=d2, slab=slab, plane=plane)
+    def binned(name, values):
+        return Histogram1D.from_values(values, *ranges[name], cfg.bins)
 
-
-def object_distance(a: ShapeFeatureSet, b: ShapeFeatureSet) -> float:
-    """Mean of the five per-feature EMDs."""
-    return float(
-        np.mean([emd_1d(a.as_dict()[name], b.as_dict()[name]) for name in FEATURE_NAMES])
-    )
+    return {
+        "height": binned("height", z_rel),
+        "radial": binned("radial", radial),
+        "d2": d2,
+        "slab": binned("slab", rel_pos),
+        "plane": binned("plane", _vertical_plane_distances(pts)),
+    }
 
 
 def similarity_matrix(
@@ -156,7 +121,8 @@ def similarity_matrix(
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = object_distance(feats[i], feats[j])
+            emds = [emd_1d(feats[i][name], feats[j][name]) for name in FEATURE_NAMES]
+            out[i, j] = out[j, i] = float(np.mean(emds))
     return out
 
 

@@ -2,9 +2,9 @@
 
 Everything downstream (octree, shape distributions, spin images, alignment,
 ROI, evaluation) builds on the types in this module: point clouds as (n, 3)
-float64 arrays, axis-aligned bounding boxes, fixed-range 1-D histograms, and
-the 4-degree-of-freedom rigid transform used for upright street objects
-(planar translation, vertical translation, rotation about the z axis).
+float64 arrays, fixed-range 1-D histograms, and the 4-degree-of-freedom
+rigid transform used for upright street objects (planar translation,
+vertical translation, rotation about the z axis).
 
 All types are immutable after construction and every function here but
 `one_blas_thread` (which sets the process-wide BLAS thread count) is pure,
@@ -16,9 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,47 +67,10 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def aabb(self) -> "AABB":
-        return AABB(self.points.min(axis=0), self.points.max(axis=0))
-
     def bbox_diagonal(self) -> float:
         """Bounding-box diagonal; a cheap upper bound on the true diameter."""
         ext = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.linalg.norm(ext))
-
-
-@dataclass(frozen=True)
-class AABB:
-    """Axis-aligned bounding box with min <= max componentwise."""
-
-    min: np.ndarray
-    max: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.min, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.max, dtype=np.float64).reshape(3)
-        if np.any(lo > hi):
-            raise ValueError(f"AABB min {lo} exceeds max {hi}")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "min", lo)
-        object.__setattr__(self, "max", hi)
-
-    def extent(self) -> np.ndarray:
-        return self.max - self.min
-
-    def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.all((pts >= self.min - slack) & (pts <= self.max + slack), axis=1)
-
-    def expanded_to_cube(self, epsilon_scale: float = 1e-9) -> "AABB":
-        """Smallest cube centered on this box, padded so flat boxes get volume."""
-        ext = self.extent()
-        side = float(ext.max())
-        side += epsilon_scale * max(1.0, side)
-        center = 0.5 * (self.min + self.max)
-        half = 0.5 * side
-        return AABB(center - half, center + half)
 
 
 @dataclass(frozen=True)
@@ -173,20 +136,12 @@ class Histogram1D:
         return idx
 
     @staticmethod
-    def from_values(
-        values: np.ndarray,
-        lo: float,
-        hi: float,
-        bins: int,
-        weights: Optional[np.ndarray] = None,
-        normalize: bool = True,
-    ) -> "Histogram1D":
-        """Vote values (optionally weighted) into clamped bins."""
+    def from_values(values: np.ndarray, lo: float, hi: float, bins: int) -> "Histogram1D":
+        """Normalized counts of the values in clamped bins."""
         bins = int(bins)
         idx = Histogram1D.bin_indices(values, lo, hi, bins)
-        mass = np.bincount(idx, weights=weights, minlength=bins).astype(np.float64)
-        h = Histogram1D(lo, hi, mass)
-        return h.normalized() if normalize else h
+        mass = np.bincount(idx, minlength=bins).astype(np.float64)
+        return Histogram1D(lo, hi, mass).normalized()
 
 
 @dataclass(frozen=True)
@@ -302,10 +257,6 @@ def one_blas_thread():
 # File I/O: xyz-ascii (read/write) and a ply-ascii vertex subset (read only).
 # ---------------------------------------------------------------------------
 
-XYZ_FORMAT = "xyz-ascii"
-PLY_FORMAT = "ply-ascii"
-
-
 def _parse_xyz_line(path, line_no, line) -> Optional[tuple]:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -413,24 +364,15 @@ def _load_ply(path: Path) -> np.ndarray:
     return rows
 
 
-def load_cloud(path, format: Optional[str] = None, label: Optional[str] = None) -> PointCloud:
-    """Load a point cloud from an xyz-ascii or ply-ascii file.
-
-    When `format` is None it is inferred from the extension (.ply means
-    ply-ascii, anything else xyz-ascii). Raises FileNotFoundError for missing
-    files and ParseError (with line number) for malformed content.
+def load_cloud(path, label: Optional[str] = None) -> PointCloud:
+    """Load a point cloud from a ply-ascii file (extension .ply, any case) or
+    else an xyz-ascii one. Raises FileNotFoundError for missing files and
+    ParseError (with line number) for malformed content.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such point cloud file: {path}")
-    if format is None:
-        format = PLY_FORMAT if path.suffix.lower() == ".ply" else XYZ_FORMAT
-    if format == XYZ_FORMAT:
-        pts = _load_xyz(path)
-    elif format == PLY_FORMAT:
-        pts = _load_ply(path)
-    else:
-        raise ValueError(f"unknown format {format!r}; use {XYZ_FORMAT!r} or {PLY_FORMAT!r}")
+    pts = _load_ply(path) if path.suffix.lower() == ".ply" else _load_xyz(path)
     return PointCloud(pts, label=label)
 
 

@@ -7,9 +7,10 @@ points when shape distribution features are evaluated hierarchically, so a
 feature between two large nodes costs a handful of rep pairs instead of a
 full cross product of points.
 
-The tree is built breadth first, one array pass per depth: the reps of every
-node at a depth come out as one `REP_DTYPE` record array (position, weight,
-scatter), and each node's `reps` is its slice of that array.
+The tree is built breadth first, one array pass per depth: the bounds and
+reps of every node at a depth come out as arrays (`lo` and `hi` rows, and
+one `REP_DTYPE` record array of position, weight and scatter), and each
+node holds its rows and its slice of them.
 
 The tree is immutable after build; concurrent read traversal is safe.
 """
@@ -21,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import AABB, PointCloud
+from .core import PointCloud
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ REP_DTYPE = np.dtype(
 
 @dataclass
 class OctreeNode:
-    bounds: AABB
+    lo: np.ndarray  # cube corners: read-only rows of its depth's bounds arrays
+    hi: np.ndarray
     depth: int
     count: int
     reps: np.ndarray  # REP_DTYPE records, a slice of its depth's array
@@ -71,9 +73,15 @@ def build_octree(cloud: PointCloud, cfg: OctreeConfig = OctreeConfig()) -> Octre
     (children in octant order, each node's points in index order)."""
     pts = cloud.points
     g = subvoxel_grid_per_axis(cfg.reps_per_node)
-    box = cloud.aabb().expanded_to_cube()
-    root = OctreeNode(box, 0, len(cloud), reps=None)
-    nodes, lo, hi = [root], box.min[None, :], box.max[None, :]
+    # the smallest cube centered on the bounding box, padded so flat clouds get volume
+    p_lo, p_hi = pts.min(axis=0), pts.max(axis=0)
+    side = float((p_hi - p_lo).max())
+    side += 1e-9 * max(1.0, side)
+    center, half = 0.5 * (p_lo + p_hi), 0.5 * side
+    lo, hi = (center - half)[None, :], (center + half)[None, :]
+    lo.flags.writeable = hi.flags.writeable = False  # nodes share them through their rows
+    root = OctreeNode(lo[0], hi[0], 0, len(cloud), reps=None)
+    nodes = [root]
     order = np.arange(len(cloud), dtype=np.int64)
     counts = np.array([len(cloud)])
     for depth in range(cfg.max_depth + 1):
@@ -100,9 +108,9 @@ def build_octree(cloud: PointCloud, cfg: OctreeConfig = OctreeConfig()) -> Octre
         upper = (code[:, None] & np.array([4, 2, 1])) > 0
         lo = np.where(upper, center[parent], lo[parent])
         hi = np.where(upper, hi[parent], center[parent])
+        lo.flags.writeable = hi.flags.writeable = False
         children = [
-            OctreeNode(AABB(l, h), depth + 1, c, reps=None)
-            for l, h, c in zip(lo, hi, counts.tolist())
+            OctreeNode(l, h, depth + 1, c, reps=None) for l, h, c in zip(lo, hi, counts.tolist())
         ]
         for p, child in zip(parent.tolist(), children):
             nodes[p].children.append(child)

@@ -246,16 +246,18 @@ def build_octree_recursive(cloud, cfg):
     from a per-cell loop, as the library built it before one array pass per
     depth. Nodes are `OctreeNode`s whose `reps` is a list of
     (position, weight, scatter) tuples, one per occupied sub-voxel cell in
-    ascending cell order."""
-    from lidarshape.core import AABB
+    ascending cell order. Bounds travel as (lo, hi) tuples; the root is the
+    smallest cube centered on the bounding box, padded so flat clouds get
+    volume."""
     from lidarshape.octree import OctreeNode, subvoxel_grid_per_axis
 
     pts = cloud.points
     g = subvoxel_grid_per_axis(cfg.reps_per_node)
 
     def reps_of(points, bounds):
-        ext = np.maximum(bounds.extent(), 1e-300)
-        cell = np.floor((points - bounds.min) / ext * g).astype(np.int64)
+        lo, hi = bounds
+        ext = np.maximum(hi - lo, 1e-300)
+        cell = np.floor((points - lo) / ext * g).astype(np.int64)
         np.clip(cell, 0, g - 1, out=cell)
         flat = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
         reps = []
@@ -268,11 +270,11 @@ def build_octree_recursive(cloud, cfg):
 
     def build(indices, bounds, depth):
         count = indices.shape[0]
-        node = OctreeNode(bounds, depth, count, reps_of(pts[indices], bounds))
+        node = OctreeNode(*bounds, depth, count, reps_of(pts[indices], bounds))
         if count <= cfg.leaf_capacity or depth >= cfg.max_depth:
             node.point_indices = indices
             return node
-        center = 0.5 * (bounds.min + bounds.max)
+        center = 0.5 * (bounds[0] + bounds[1])
         sub = pts[indices]
         octant = (
             (sub[:, 0] >= center[0]).astype(np.int64) * 4
@@ -283,17 +285,22 @@ def build_octree_recursive(cloud, cfg):
             child_idx = indices[octant == code]
             if child_idx.shape[0] == 0:
                 continue
-            lo = bounds.min.copy()
-            hi = bounds.max.copy()
+            lo = bounds[0].copy()
+            hi = bounds[1].copy()
             for axis, bit in enumerate((4, 2, 1)):
                 if code & bit:
                     lo[axis] = center[axis]
                 else:
                     hi[axis] = center[axis]
-            node.children.append(build(child_idx, AABB(lo, hi), depth + 1))
+            node.children.append(build(child_idx, (lo, hi), depth + 1))
         return node
 
-    return build(np.arange(len(cloud), dtype=np.int64), cloud.aabb().expanded_to_cube(), 0)
+    box_lo, box_hi = pts.min(axis=0), pts.max(axis=0)
+    side = float((box_hi - box_lo).max())
+    side += 1e-9 * max(1.0, side)
+    center = 0.5 * (box_lo + box_hi)
+    half = 0.5 * side
+    return build(np.arange(len(cloud), dtype=np.int64), (center - half, center + half), 0)
 
 
 def measure(kind: str, pts: Sequence) -> float:

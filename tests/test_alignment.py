@@ -12,7 +12,6 @@ from lidarshape.alignment import (
     align_group,
     feature_ranges_for_group,
     icp_4dof,
-    object_distance,
     shape_features,
     similarity_matrix,
     write_merges_csv,
@@ -54,7 +53,7 @@ def test_uniform_box_has_flat_height_histogram():
     cloud = PointCloud(pts)
     ranges = feature_ranges_for_group([cloud])
     feats = shape_features(cloud, ranges, SDConfig(sample_budget=5_000))
-    mass = feats.height.mass
+    mass = feats["height"].mass
     assert mass.max() - mass.min() < 0.01  # uniform within sampling noise
 
 
@@ -68,7 +67,7 @@ def test_features_invariant_under_4dof():
         moved = apply_transform(cloud, random_4dof(rng))
         feats = shape_features(moved, ranges, cfg)
         for name in FEATURE_NAMES:
-            gap = np.abs(feats.as_dict()[name].mass - base.as_dict()[name].mass).max()
+            gap = np.abs(feats[name].mass - base[name].mass).max()
             assert gap < 1e-9, name
 
 
@@ -76,37 +75,28 @@ def test_single_point_features_degenerate():
     cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
     ranges = feature_ranges_for_group([cloud])
     feats = shape_features(cloud, ranges, SDConfig())
+    assert tuple(feats) == FEATURE_NAMES
     for name in FEATURE_NAMES:
-        h = feats.as_dict()[name]
+        h = feats[name]
         assert h.total() == pytest.approx(1.0)
         assert h.mass[0] == pytest.approx(1.0)
-
-
-def test_object_distance_zero_and_symmetric():
-    rng = np.random.default_rng(7)
-    a, b = blob(rng), blob(rng)
-    ranges = feature_ranges_for_group([a, b])
-    fa = shape_features(a, ranges, SDConfig(sample_budget=2_000, seed=0))
-    fb = shape_features(b, ranges, SDConfig(sample_budget=2_000, seed=1))
-    assert object_distance(fa, fa) == 0.0
-    assert object_distance(fa, fb) == pytest.approx(object_distance(fb, fa))
-
-
-def test_object_distance_is_mean_of_five_emds():
-    rng = np.random.default_rng(9)
-    a, b = blob(rng), blob(rng)
-    ranges = feature_ranges_for_group([a, b])
-    fa = shape_features(a, ranges, SDConfig(sample_budget=2_000, seed=0))
-    fb = shape_features(b, ranges, SDConfig(sample_budget=2_000, seed=1))
-    expected = sum(
-        emd_1d(fa.as_dict()[n], fb.as_dict()[n]) for n in FEATURE_NAMES
-    ) / len(FEATURE_NAMES)
-    assert object_distance(fa, fb) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # similarity matrix
 # ---------------------------------------------------------------------------
+
+
+def test_similarity_entry_is_mean_of_five_emds():
+    rng = np.random.default_rng(9)
+    objs = [blob(rng), blob(rng), blob(rng, n=60)]
+    cfg = SDConfig(sample_budget=2_000, seed=1)
+    s = similarity_matrix(objs, cfg)
+    ranges = feature_ranges_for_group(objs)
+    fa, fb = (shape_features(o, ranges, cfg) for o in objs[:2])
+    assert s[0, 1] == sum(emd_1d(fa[n], fb[n]) for n in FEATURE_NAMES) / len(FEATURE_NAMES)
+    assert np.all(np.diag(s) == 0.0)
+    assert np.array_equal(s, s.T)
 
 
 def test_similarity_duplicate_objects_zero_entry():

@@ -77,6 +77,27 @@ def test_config_rejects_bad_value(tmp_path):
         ("sample_budget = 1000000000", "sample_budget must be in 1..10000000, got 1000000000"),
         ("bins = 1", "bins must be >= 2, got 1"),
         ("octree_leaf_capacity = 0", "octree parameters must be positive"),
+        ("icp_max_iters = 0", "max_iters must be >= 1, got 0"),
+        ("icp_trim_fraction = 1.5", "trim_fraction must be in [0, 1), got 1.5"),
+        ("parts_k = 0", "parts_k must be positive, got 0"),
+        ("threads = 0", "threads must be positive, got 0"),
+        ("hsd_level = 0", "hsd_level must be positive, got 0"),
+        ("tile_size = 0", "tile_size must be positive, got 0.0"),
+        ("tile_size = nan", "tile_size must be positive, got nan"),
+        ("feature_mode = bogus", "feature_mode must be one of ('exact', 'hsd'), got 'bogus'"),
+        (
+            "strategy = bogus",
+            "strategy must be one of ('average', 'smallest', 'biggest', 'all'), got 'bogus'",
+        ),
+        (
+            "spin_codebook_kind = bogus",
+            "spin_codebook_kind must be one of ('whole-image', 'patch-11x11'), got 'bogus'",
+        ),
+        ("spin_support_radius = -2", "spin_support_radius must be finite and >= 0, got -2.0"),
+        ("spin_support_radius = nan", "spin_support_radius must be finite and >= 0, got nan"),
+        ("icp_rms_tol = -1", "icp_rms_tol must be finite and >= 0, got -1.0"),
+        ("icp_rms_tol = nan", "icp_rms_tol must be finite and >= 0, got nan"),
+        ("icp_rms_tol = inf", "icp_rms_tol must be finite and >= 0, got inf"),
     ],
 )
 def test_config_rejects_out_of_range_value_at_its_line(tmp_path, object_file, capsys, line, message):
@@ -88,6 +109,13 @@ def test_config_rejects_out_of_range_value_at_its_line(tmp_path, object_file, ca
     assert main(argv) == 2
     assert f"{cfg_file}:2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+
+
+def test_threads_flag_must_be_positive(tmp_path, manifest, capsys):
+    argv = ["eval", str(manifest), "--threads", "0", "--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    assert "argument --threads: must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_flag_overrides_config(tmp_path, object_file):

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarshape import core
 from lidarshape.core import (
-    AABB,
+    TWO_PI,
     Histogram1D,
     ParseError,
     PointCloud,
@@ -37,7 +38,7 @@ def random_transform(rng):
 
 
 # ---------------------------------------------------------------------------
-# PointCloud / AABB
+# PointCloud
 # ---------------------------------------------------------------------------
 
 
@@ -55,16 +56,6 @@ def test_cloud_preserves_order():
     cloud = PointCloud(pts)
     assert np.array_equal(cloud.points[:, 0], [3.0, 1.0, 2.0])
     assert len(cloud) == 3
-
-
-def test_aabb_cube_expansion_degenerate():
-    # flat cloud still yields a cube with volume
-    cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 2.0, 0]]))
-    cube = cloud.aabb().expanded_to_cube()
-    ext = cube.extent()
-    assert ext[0] == ext[1] == ext[2]
-    assert ext[0] > 2.0
-    assert np.all(cube.contains(cloud.points))
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +299,54 @@ def test_theta_normalized_to_half_open_interval():
     assert Transform4DOF(theta=2 * math.pi).theta == pytest.approx(0.0)
 
 
-def test_inverse_composition_is_identity():
-    rng = np.random.default_rng(7)
-    cloud = random_cloud(rng)
-    for _ in range(100):
-        t = random_transform(rng)
-        back = apply_transform(apply_transform(cloud, t), t.inverse())
-        assert np.allclose(back.points, cloud.points, atol=1e-9)
+_coordinate = st.floats(-1e3, 1e3)
+_transforms = st.builds(
+    Transform4DOF,
+    tx=_coordinate,
+    ty=_coordinate,
+    tz=_coordinate,
+    theta=st.one_of(st.sampled_from([math.pi, -math.pi]), st.floats(-TWO_PI, TWO_PI)),
+)
+_clouds = arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)), elements=_coordinate)
 
 
-def test_compose_matches_sequential_application():
-    rng = np.random.default_rng(8)
-    cloud = random_cloud(rng)
-    for _ in range(20):
-        t1, t2 = random_transform(rng), random_transform(rng)
-        seq = apply_transform(apply_transform(cloud, t1), t2)
-        fused = apply_transform(cloud, t2.compose(t1))
-        assert np.allclose(seq.points, fused.points, atol=1e-9)
+def seeded_examples(seed, count, names):
+    """The cases an earlier seeded loop drew: one cloud from `seed`, then
+    `count` draws of one transform per name, as explicit examples."""
+
+    def decorate(test):
+        rng = np.random.default_rng(seed)
+        points = random_cloud(rng).points
+        for _ in range(count):
+            test = example(points=points, **{n: random_transform(rng) for n in names})(test)
+        return test
+
+    return decorate
+
+
+def tolerance(points, *transforms):
+    """1e-9 times (1 + the largest coordinate or translation magnitude)."""
+    shifts = [abs(v) for t in transforms for v in (t.tx, t.ty, t.tz)]
+    return 1e-9 * (1.0 + max([float(np.abs(points).max())] + shifts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_clouds, t=_transforms)
+@seeded_examples(7, 100, ["t"])
+def test_inverse_composition_is_identity(points, t):
+    cloud = PointCloud(points)
+    back = apply_transform(apply_transform(cloud, t), t.inverse())
+    assert np.abs(back.points - points).max() <= tolerance(points, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_clouds, t1=_transforms, t2=_transforms)
+@seeded_examples(8, 20, ["t1", "t2"])
+def test_compose_matches_sequential_application(points, t1, t2):
+    cloud = PointCloud(points)
+    seq = apply_transform(apply_transform(cloud, t1), t2)
+    fused = apply_transform(cloud, t2.compose(t1))
+    assert np.abs(seq.points - fused.points).max() <= tolerance(points, t1, t2)
 
 
 def test_transform_preserves_pairwise_distances():

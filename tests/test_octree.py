@@ -37,6 +37,10 @@ def test_eight_octant_points_split_once():
         assert child.count == 1
 
 
+def _inside(pts, node, slack):
+    return np.all((pts >= node.lo - slack) & (pts <= node.hi + slack))
+
+
 def _leaf_indices(node):
     return np.concatenate([n.point_indices for n in iter_nodes(node) if n.is_leaf])
 
@@ -68,6 +72,7 @@ def test_invariant_audit_random_cloud(points, max_depth, leaf_capacity, reps_per
     leaf_total = 0
     for node in iter_nodes(root):
         assert node.depth <= max_depth
+        assert not (node.lo.flags.writeable or node.hi.flags.writeable)
         reps = node.reps
         assert reps.dtype == REP_DTYPE
         # weight conservation at every node
@@ -75,17 +80,17 @@ def test_invariant_audit_random_cloud(points, max_depth, leaf_capacity, reps_per
         assert reps["weight"].sum() == node.count
         assert np.all(np.isfinite(reps["scatter"]))
         assert np.all(reps["scatter"] >= 0.0)
-        assert np.all(node.bounds.contains(reps["position"], slack=slack))
+        assert _inside(reps["position"], node, slack)
         if node.is_leaf:
             leaf_total += node.count
-            assert np.all(node.bounds.contains(cloud.points[node.point_indices], slack=1e-12))
+            assert _inside(cloud.points[node.point_indices], node, 1e-12)
         else:
             assert node.point_indices is None
             assert node.count == sum(c.count for c in node.children)
             for child in node.children:
                 assert child.depth == node.depth + 1
-                assert np.all(child.bounds.min >= node.bounds.min - 1e-12)
-                assert np.all(child.bounds.max <= node.bounds.max + 1e-12)
+                assert np.all(child.lo >= node.lo - 1e-12)
+                assert np.all(child.hi <= node.hi + 1e-12)
     assert leaf_total == n
     for level in range(1, max_depth + 1):
         nodes = nodes_at_level(root, level)
@@ -127,8 +132,8 @@ def test_reps_match_brute_force_partition():
 
     # recompute membership from the grid definition and check mean/scatter
     g = subvoxel_grid_per_axis(8)
-    ext = root.bounds.extent()
-    cell = np.clip(np.floor((pts - root.bounds.min) / ext * g).astype(int), 0, g - 1)
+    ext = root.hi - root.lo
+    cell = np.clip(np.floor((pts - root.lo) / ext * g).astype(int), 0, g - 1)
     flat = (cell[:, 0] * g + cell[:, 1]) * g + cell[:, 2]
     by_cell = {}
     for i, c in enumerate(flat):
@@ -162,13 +167,16 @@ def test_nodes_at_level_cover_all_points():
 
 
 def test_degenerate_planar_cloud_builds():
+    # a flat cloud still gets a cube root with volume that holds every point
     rng = np.random.default_rng(41)
-    pts = rng.uniform(0, 1, size=(100, 3))
-    pts[:, 2] = 0.0  # perfectly flat
-    root = build_octree(PointCloud(pts), OctreeConfig(leaf_capacity=10))
-    assert root.count == 100
-    ext = root.bounds.extent()
-    assert ext[0] == ext[1] == ext[2] > 0
+    uniform = rng.uniform(0, 1, size=(100, 3))
+    uniform[:, 2] = 0.0  # perfectly flat
+    for pts in (uniform, np.array([[0.0, 0, 0], [1.0, 2.0, 0]])):
+        root = build_octree(PointCloud(pts), OctreeConfig(leaf_capacity=10))
+        assert root.count == len(pts)
+        ext = root.hi - root.lo
+        assert ext[0] == ext[1] == ext[2] > np.ptp(pts, axis=0).max()
+        assert _inside(pts, root, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,8 @@ def assert_same_tree(cloud, cfg):
     assert len(new) == len(old)
     for a, b in zip(new, old):
         assert (a.depth, a.count, len(a.children)) == (b.depth, b.count, len(b.children))
-        assert a.bounds.min.tobytes() == b.bounds.min.tobytes()
-        assert a.bounds.max.tobytes() == b.bounds.max.tobytes()
+        assert a.lo.tobytes() == b.lo.tobytes()
+        assert a.hi.tobytes() == b.hi.tobytes()
         if b.point_indices is None:
             assert a.point_indices is None
         else:
