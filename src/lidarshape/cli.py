@@ -72,6 +72,7 @@ class RunConfig:
     def load(path) -> "RunConfig":
         cfg = RunConfig()
         fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        set_at = {}  # key -> the last line that set it
         with open(path, "r") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -91,6 +92,14 @@ class RunConfig:
                     cfg.check()
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from None
+                set_at[key] = line_no
+        # checked once the file is read, so a file may lower both keys, max first
+        if not cfg.roi_min_height <= cfg.roi_max_height:
+            line_no = max(set_at.get("roi_min_height", 0), set_at.get("roi_max_height", 0))
+            raise ValueError(
+                f"{path}:{line_no}: roi_min_height {cfg.roi_min_height} exceeds"
+                f" roi_max_height {cfg.roi_max_height}"
+            )
         return cfg
 
     def check(self) -> None:
@@ -107,9 +116,14 @@ class RunConfig:
         for key in ("parts_k", "threads", "hsd_level", "tile_size"):
             if not values[key] > 0:
                 raise ValueError(f"{key} must be positive, got {values[key]}")
-        for key in ("spin_support_radius", "icp_rms_tol"):  # 0 means auto
+        # spin_support_radius = 0 and icp_rms_tol = 0 mean auto
+        for key in ("spin_support_radius", "icp_rms_tol", "roi_min_height"):
             if not 0 <= values[key] < math.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {values[key]}")
+        if self.roi_min_points < 0:
+            raise ValueError(f"roi_min_points must be >= 0, got {self.roi_min_points}")
+        if math.isnan(self.roi_max_height):
+            raise ValueError("roi_max_height must be a number, got nan")
 
     def sd_config(self) -> SDConfig:
         return SDConfig(bins=self.bins, sample_budget=self.sample_budget, seed=self.seed)
@@ -153,31 +167,41 @@ def _is_manifest(path: Path) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _dataset_features(cfg: RunConfig, manifest, ds: evaluate.LabeledDataset, threads: int = 1):
+    """`evaluate.dataset_features` under the run config; a ValueError names
+    the manifest."""
+    try:
+        return evaluate.dataset_features(
+            ds, cfg.feature_mode, cfg.sd_config(), cfg.octree_config(), cfg.hsd_level, threads
+        )
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
+
+
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     path = Path(args.input)
     if _is_manifest(path):
         ds = evaluate.load_manifest(path)
-        ranges = sd_ranges(evaluate.dataset_max_diameter(ds))
-        clouds = [c for c, _ in ds.objects]
-        names = [f"{i:03d}_{ds.objects[i][1]}" for i in range(len(ds))]
+        feats = _dataset_features(cfg, path, ds)
+        names = [f"{i:03d}_{category}" for i, (_, category) in enumerate(ds.objects)]
     else:
         cloud = load_cloud(path)
         ranges = sd_ranges(cloud.bbox_diagonal())
-        clouds = [cloud]
+        try:
+            feats = [
+                evaluate.object_4features(
+                    cloud, cfg.feature_mode, cfg.sd_config(), ranges, cfg.octree_config(),
+                    cfg.hsd_level,
+                )
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         names = [path.stem]
-    for cloud, name in zip(clouds, names):
-        feats = evaluate.object_4features(
-            cloud,
-            cfg.feature_mode,
-            cfg.sd_config(),
-            ranges,
-            cfg.octree_config(),
-            cfg.hsd_level,
-        )
-        write_features_csv([feats[k] for k in evaluate.KINDS], out / f"features_{name}.csv")
-    print(f"wrote {len(clouds)} feature file(s) to {out}")
+    for feat, name in zip(feats, names):
+        write_features_csv([feat[k] for k in evaluate.KINDS], out / f"features_{name}.csv")
+    print(f"wrote {len(feats)} feature file(s) to {out}")
     return 0
 
 
@@ -230,14 +254,7 @@ def cmd_eval(args) -> int:
     ds = evaluate.load_manifest(args.manifest)
     strategies = list(evaluate.STRATEGIES) if cfg.strategy == "all" else [cfg.strategy]
 
-    feats = evaluate.dataset_features(
-        ds,
-        cfg.feature_mode,
-        cfg.sd_config(),
-        cfg.octree_config(),
-        cfg.hsd_level,
-        threads=cfg.threads,
-    )
+    feats = _dataset_features(cfg, args.manifest, ds, threads=cfg.threads)
     kinds = evaluate.kind_distances(feats)
     stats_rows = []
     for strategy in strategies:

@@ -127,14 +127,18 @@ def dataset_features(
 ) -> List[Dict[str, SDFeature]]:
     """Per-object features in dataset order; ranges fixed from the dataset
     maximum diameter. Every object uses the same sampling seed, so duplicate
-    objects always map to identical features."""
+    objects always map to identical features. A ValueError names the object
+    by index and category."""
     ranges = sd_ranges(dataset_max_diameter(ds))
 
-    def one(i_cloud):
-        _, cloud = i_cloud
-        return object_4features(cloud, mode, cfg, ranges, octree_cfg, level)
+    def one(item):
+        i, (cloud, category) = item
+        try:
+            return object_4features(cloud, mode, cfg, ranges, octree_cfg, level)
+        except ValueError as exc:
+            raise ValueError(f"object {i} ({category}): {exc}") from None
 
-    items = list(enumerate(c for c, _ in ds.objects))
+    items = list(enumerate(ds.objects))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -220,6 +220,14 @@ def moment_votes(
 
 # classes per octave, cells per sigma, window in sigmas, largest |class| (2**+-1000 widths)
 SIGMA_CLASSES, MEAN_CELLS, WINDOW, MAX_CLASS = 8, 16, 8.0, 8000
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF as 0.5 erfc(-x / sqrt 2) from the C library's erfc,
+    one Python call per value: within 2.2e-16 of scipy's `ndtr` on the tests'
+    grid, without scipy's import time."""
+    return 0.5 * _ERFC(x * -math.sqrt(0.5)).astype(np.float64)
 
 
 def _gaussian_bin_mass(
@@ -237,14 +245,12 @@ def _gaussian_bin_mass(
     past each end, so means out of range keep their place (farther ones move
     to the ends), and windows of 8 sigma_k, capped at 2 B bins, cover the
     range from any cell. Weights are summed per (class, cell) by `bincount`;
-    `ndtr` runs once per class and occupied cell offset with F := 0 / 1 at
+    `_normal_cdf` runs once per class and occupied cell offset, F := 0 / 1 at
     the window ends, so each cell's mass telescopes to its weight, and a
     chunk of cells is deposited at a time. Per unit weight, a vote's L1 to
     its own windowed Gaussian is at most 2 TV(N(0, 1), N(0, 2^(1/8))) +
     2 TV(N(0, 1), N(1/32, 1)) = 0.067.
     """
-    from scipy.special import ndtr  # deferred: only HSD voting needs it
-
     bins = edges.shape[0] - 1
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
@@ -270,7 +276,7 @@ def _gaussian_bin_mass(
         edge_of, offset = np.divmod(occupied, 2 * reach)
         offset, row = np.unique(offset, return_inverse=True)
         cols = np.arange(-half - 1, half + 1)  # bins from a cell's edge
-        cdf = ndtr((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
+        cdf = _normal_cdf((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
         cdf[:, 0], cdf[:, -1] = 0.0, 1.0
         kernel, w = np.diff(cdf, axis=1), grid[occupied]
         rows = max(1, 16384 // cols.size)  # cells deposited at once

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -98,6 +99,13 @@ def test_config_rejects_bad_value(tmp_path):
         ("icp_rms_tol = -1", "icp_rms_tol must be finite and >= 0, got -1.0"),
         ("icp_rms_tol = nan", "icp_rms_tol must be finite and >= 0, got nan"),
         ("icp_rms_tol = inf", "icp_rms_tol must be finite and >= 0, got inf"),
+        ("roi_min_points = -5", "roi_min_points must be >= 0, got -5"),
+        ("roi_min_height = -1", "roi_min_height must be finite and >= 0, got -1.0"),
+        ("roi_min_height = nan", "roi_min_height must be finite and >= 0, got nan"),
+        ("roi_min_height = inf", "roi_min_height must be finite and >= 0, got inf"),
+        ("roi_max_height = nan", "roi_max_height must be a number, got nan"),
+        ("roi_max_height = -1", "roi_min_height 0.3 exceeds roi_max_height -1.0"),
+        ("roi_min_height = 20", "roi_min_height 20.0 exceeds roi_max_height 10.0"),
     ],
 )
 def test_config_rejects_out_of_range_value_at_its_line(tmp_path, object_file, capsys, line, message):
@@ -109,6 +117,28 @@ def test_config_rejects_out_of_range_value_at_its_line(tmp_path, object_file, ca
     assert main(argv) == 2
     assert f"{cfg_file}:2: {message}" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("roi_max_height = 5\nseed = 1\nroi_min_height = 6\n", 3),
+        ("roi_min_height = 6\nroi_max_height = 5\nseed = 1\n", 2),
+        ("roi_max_height = 0.2\nroi_min_height = 0.1\nroi_max_height = 0.05\n", 3),
+    ],
+)
+def test_config_roi_heights_checked_after_the_last_line(tmp_path, text, line_no):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    with pytest.raises(ValueError, match=f"run.cfg:{line_no}: roi_min_height .* exceeds"):
+        RunConfig.load(cfg_file)
+
+
+def test_config_may_lower_both_roi_heights_max_first(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("roi_max_height = 0.2\nroi_min_height = 0.1\nroi_max_height = inf\n")
+    cfg = RunConfig.load(cfg_file)
+    assert (cfg.roi_min_height, cfg.roi_max_height) == (0.1, math.inf)
 
 
 def test_threads_flag_must_be_positive(tmp_path, manifest, capsys):
@@ -173,6 +203,49 @@ def test_features_manifest(tmp_path, manifest):
     out = tmp_path / "feat"
     assert main(["features", str(manifest), "--out", str(out)]) == 0
     assert len(list(out.glob("features_*.csv"))) == 4
+
+
+def degenerate_cloud(shape):
+    rng = np.random.default_rng(19)
+    if shape == "duplicates":
+        return np.tile([[1.0, 2.0, 3.0]], (10, 1))
+    if shape == "two-points":
+        return np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    if shape == "collinear":
+        return np.linspace(0.0, 1.0, 30)[:, None] * np.array([[1.0, 2.0, 3.0]])
+    pts = rng.random((40, 3))
+    pts[:, 2] = 0.5  # coplanar
+    return pts
+
+
+@pytest.mark.parametrize("mode", ["exact", "hsd"])
+@pytest.mark.parametrize("shape", ["duplicates", "two-points", "collinear", "coplanar"])
+def test_features_degenerate_cloud_exits_0_or_names_the_file(tmp_path, capsys, shape, mode):
+    path = tmp_path / f"{shape}.xyz"
+    save_cloud(PointCloud(degenerate_cloud(shape)), path)
+    code = main(["features", str(path), "--mode", mode, "--out", str(tmp_path / "f")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert (tmp_path / "f" / f"features_{shape}.csv").is_file()
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["features"], ["eval"], ["eval", "--threads", "2"]], ids=["features", "eval", "eval-2"]
+)
+def test_manifest_object_too_small_names_manifest_index_and_category(tmp_path, capsys, argv):
+    rng = np.random.default_rng(23)
+    save_cloud(make_object("box", 60, rng), tmp_path / "box.xyz")
+    save_cloud(PointCloud(degenerate_cloud("duplicates")), tmp_path / "dup.xyz")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("file_path,category\nbox.xyz,box\ndup.xyz,dup\nbox.xyz,box\n")
+    code = main([argv[0], str(manifest), "--mode", "hsd", *argv[1:], "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: object 1 (dup): D2 needs at least 2 representatives")
 
 
 def test_features_exact_vs_hsd_l1_gap(tmp_path):
@@ -516,3 +589,34 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        (["features", "{object}", "--mode", "hsd"], False),
+        (["eval", "{manifest}", "--mode", "hsd"], False),
+        (["roi", "{scene}"], False),
+        (["spin", "{object}", "--train"], False),
+        (["align", "{manifest}"], True),  # ICP matches points with cKDTree
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_only_align_loads_scipy(tmp_path, object_file, manifest, argv, loads_scipy):
+    save_cloud(make_scene(seed=11, extent_tiles=6, n_objects=2).scene, tmp_path / "scene.xyz")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sample_budget = 5000\n")
+    files = {"object": object_file, "manifest": manifest, "scene": tmp_path / "scene.xyz"}
+    argv = [a.format(**files) for a in argv]
+    argv += ["--config", str(cfg_file), "--out", str(tmp_path / "out")]
+    src = str(Path(lidarshape.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from lidarshape.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.splitlines()[-1] == str(loads_scipy)

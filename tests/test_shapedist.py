@@ -21,6 +21,7 @@ from lidarshape.shapedist import (
     _all_combinations,
     _central_difference_mags,
     _gaussian_bin_mass,
+    _normal_cdf,
     _sample_tuples,
     exact_sd,
     hsd,
@@ -454,6 +455,42 @@ def test_gaussian_bin_mass_many_chunks_matches_one_shot():
     assert_mass_near_windowed(np.linspace(0.0, 1.0, 65), mu, sigma, weight, per_weight=1e-3)
 
 
+def normal_cdf_grid():
+    """0, the tiniest and largest doubles, the erf/erfc branch point +-sqrt(1/2),
+    the tails where the CDF saturates, and 10^5 normal draws at four scales."""
+    special = np.array([0.0, 1e-300, math.sqrt(0.5), 1.0, 8.0, 40.0, 1e300])
+    rng = np.random.default_rng(151)
+    draws = [scale * rng.standard_normal(25_000) for scale in (1e-3, 1.0, 4.0, 12.0)]
+    return np.concatenate([special, -special, *draws])
+
+
+def test_normal_cdf_matches_ndtr():
+    x = normal_cdf_grid()
+    cdf = _normal_cdf(x)
+    assert cdf.dtype == np.float64 and cdf.shape == x.shape
+    assert np.abs(cdf - ndtr(x)).max() <= 4.5e-16
+    assert (np.diff(_normal_cdf(np.sort(x))) >= 0).all()
+    assert np.abs(cdf + _normal_cdf(-x) - 1.0).max() <= 2.3e-16
+
+
+def test_gaussian_bin_mass_matches_ndtr_version(monkeypatch):
+    # sigma from 1e-5 to 10 bin widths, sigma = 0 votes among them, means
+    # beyond both ends of the range
+    rng = np.random.default_rng(157)
+    edges = np.linspace(0.0, 1.0, 65)
+    draws = []
+    for _ in range(8):
+        n = 30_000
+        mu = rng.uniform(-0.3, 1.3, size=n)
+        sigma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-5, 1, size=n) / 64)
+        draws.append((mu, sigma, rng.uniform(0.1, 3.0, size=n)))
+    got = [_gaussian_bin_mass(edges, *draw) for draw in draws]
+    monkeypatch.setattr(shapedist, "_normal_cdf", ndtr)
+    for mass, (mu, sigma, weight) in zip(got, draws):
+        want = _gaussian_bin_mass(edges, mu, sigma, weight)
+        assert np.abs(mass - want).max() <= 1e-15 * weight.sum()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     bins=st.integers(2, 40),
@@ -538,7 +575,7 @@ def test_hsd_default_budget_peak_memory():
     # ~104 MB, one block at a time stays near the ~25 MB of tuple tables
     cloud = make_object("cylinder", 300, np.random.default_rng(1))
     root = build_octree(cloud)
-    hsd(root, "D2", 3, SDConfig())  # imports scipy.special outside the trace
+    hsd(root, "D2", 3, SDConfig())  # warm-up: once-per-process work stays outside the trace
     tracemalloc.start()
     try:
         hsd(root, "R3", 3, SDConfig())
