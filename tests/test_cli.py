@@ -577,16 +577,19 @@ def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 2
 
 
-def test_cli_import_does_not_load_scipy():
-    # the child imports the same package this test process imported
+def child_env():
+    """The environment of a child that imports the package this process imported."""
     src = str(Path(lidarshape.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_does_not_load_scipy():
     code = (
         "import sys, lidarshape.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
     )
     assert done.stdout.strip() == "[]"
 
@@ -609,14 +612,12 @@ def test_only_align_loads_scipy(tmp_path, object_file, manifest, argv, loads_sci
     files = {"object": object_file, "manifest": manifest, "scene": tmp_path / "scene.xyz"}
     argv = [a.format(**files) for a in argv]
     argv += ["--config", str(cfg_file), "--out", str(tmp_path / "out")]
-    src = str(Path(lidarshape.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys; from lidarshape.cli import main; "
         f"assert main({argv!r}) == 0; "
         "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env()
     )
     assert done.stdout.splitlines()[-1] == str(loads_scipy)
