@@ -456,7 +456,7 @@ def test_gaussian_bin_mass_many_chunks_matches_one_shot():
 
 
 def normal_cdf_grid():
-    """0, the tiniest and largest doubles, the erf/erfc branch point +-sqrt(1/2),
+    """0, magnitudes 1e-300 and 1e300, the erf/erfc branch point +-sqrt(1/2),
     the tails where the CDF saturates, and 10^5 normal draws at four scales."""
     special = np.array([0.0, 1e-300, math.sqrt(0.5), 1.0, 8.0, 40.0, 1e300])
     rng = np.random.default_rng(151)
