@@ -13,9 +13,10 @@ judged before anything is aligned:
 Object distance is the mean of the five per-feature Earth Mover's Distances.
 
 Alignment: trimmed point-to-point ICP restricted to the 4 permitted degrees
-of freedom, plus a divide-and-conquer group procedure that repeatedly merges
-the two closest object sets (single linkage over the precomputed similarity
-matrix), aligning the most similar cross-set object pair at each merge.
+of freedom (returning its transform and per-iteration RMS), plus a
+divide-and-conquer group procedure that repeatedly merges the two closest
+object sets (single linkage over the similarity matrix its caller passes),
+aligning the most similar cross-set object pair at each merge.
 Single linkage merges along the minimum spanning tree (Gower & Ross, 1969),
 so the merges come from Kruskal's algorithm: one sort of the pair distances,
 then a union of sets per edge that joins two of them.
@@ -144,6 +145,9 @@ class ICPConfig:
             raise ValueError(f"trim_fraction must be in [0, 1), got {self.trim_fraction}")
 
 
+ICP_MIN_POINTS = 3  # a trimmed match keeps at least this many pairs
+
+
 class DegenerateFitError(ValueError):
     """The correspondences leave the 4-DOF fit undetermined (no planar
     spread): a numerical failure of the alignment, not malformed input."""
@@ -172,33 +176,23 @@ def icp_4dof(
     source: PointCloud,
     target: PointCloud,
     cfg: ICPConfig = ICPConfig(),
-) -> Tuple[Transform4DOF, float]:
+) -> Tuple[Transform4DOF, List[float]]:
     """Trimmed point-to-point ICP restricted to 4 degrees of freedom.
 
     Each iteration matches every source point to its nearest target point,
     drops the worst trim_fraction matches, refits the closed-form update, and
     stops once the trimmed RMS improves by less than rms_tol. Returns the
-    cumulative transform and the final trimmed RMS.
+    cumulative transform and the trimmed RMS measured at the start of every
+    iteration (a non-increasing sequence; the last entry is the final RMS).
     """
-    transform, history = icp_4dof_history(source, target, cfg)
-    return transform, history[-1]
-
-
-def icp_4dof_history(
-    source: PointCloud,
-    target: PointCloud,
-    cfg: ICPConfig = ICPConfig(),
-) -> Tuple[Transform4DOF, List[float]]:
-    """Same iteration as icp_4dof, also returning the trimmed RMS measured at
-    the start of every iteration (a non-increasing sequence)."""
-    if len(source) < 3 or len(target) < 3:
-        raise ValueError("ICP needs at least 3 points in source and target")
+    if len(source) < ICP_MIN_POINTS or len(target) < ICP_MIN_POINTS:
+        raise ValueError(f"ICP needs at least {ICP_MIN_POINTS} points in source and target")
     from scipy.spatial import cKDTree  # deferred: most commands never match points
 
     tol = cfg.rms_tol if cfg.rms_tol is not None else 1e-5 * target.bbox_diagonal()
     tree = cKDTree(target.points)
     total = Transform4DOF.identity()
-    n_keep = max(3, int(math.ceil(len(source) * (1.0 - cfg.trim_fraction))))
+    n_keep = max(ICP_MIN_POINTS, int(math.ceil(len(source) * (1.0 - cfg.trim_fraction))))
 
     moved = source.points
     prev_rms = math.inf
@@ -266,22 +260,21 @@ def _single_linkage(sim: np.ndarray):
 
 def align_group(
     objects: Sequence[PointCloud],
+    similarity: np.ndarray,
     cfg: ICPConfig = ICPConfig(),
-    sd_cfg: SDConfig = SDConfig(),
-    similarity: Optional[np.ndarray] = None,
 ) -> GroupAlignment:
     """Merge singleton sets until one remains: each step picks the set pair
-    with the smallest single-linkage distance (ties to the lowest object
-    index pair), ICP-aligns the most similar cross-set object pair, and
-    composes that transform onto the smaller set."""
+    with the smallest single-linkage distance in `similarity` (as from
+    `similarity_matrix`; ties to the lowest object index pair), ICP-aligns
+    the most similar cross-set object pair, and composes that transform onto
+    the smaller set."""
     n = len(objects)
     if n < 2:
         raise ValueError(f"need at least 2 objects, got {n}")
-    sim = similarity_matrix(objects, sd_cfg) if similarity is None else similarity
 
     transforms = [Transform4DOF.identity() for _ in range(n)]
     merges: List[MergeRecord] = []
-    for kept, moved, target_obj, source_obj, dist in _single_linkage(sim):
+    for kept, moved, target_obj, source_obj, dist in _single_linkage(similarity):
         src_cloud = apply_transform(objects[source_obj], transforms[source_obj])
         dst_cloud = apply_transform(objects[target_obj], transforms[target_obj])
         update, _ = icp_4dof(src_cloud, dst_cloud, cfg)

@@ -22,6 +22,7 @@ with no planar spread), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -50,8 +51,7 @@ class RunConfig:
     seed: int = 0
     bins: int = 64
     sample_budget: int = 200_000
-    hsd_level: int = 3
-    octree_max_depth: int = 6
+    hsd_level: int = 3  # also the octree's depth
     octree_leaf_capacity: int = 32
     octree_reps_per_node: int = 8
     icp_max_iters: int = 50
@@ -104,7 +104,6 @@ class RunConfig:
 
     def check(self) -> None:
         """Raise ValueError for a value that no command accepts."""
-        self.sd_config(), self.octree_config(), self.icp_config()
         values = dataclasses.asdict(self)
         for key, allowed in (
             ("feature_mode", evaluate.MODES),
@@ -116,6 +115,7 @@ class RunConfig:
         for key in ("parts_k", "threads", "hsd_level", "tile_size"):
             if not values[key] > 0:
                 raise ValueError(f"{key} must be positive, got {values[key]}")
+        self.sd_config(), self.octree_config(), self.icp_config()
         # spin_support_radius = 0 and icp_rms_tol = 0 mean auto
         for key in ("spin_support_radius", "icp_rms_tol", "roi_min_height"):
             if not 0 <= values[key] < math.inf:
@@ -130,7 +130,7 @@ class RunConfig:
 
     def octree_config(self) -> OctreeConfig:
         return OctreeConfig(
-            max_depth=self.octree_max_depth,
+            max_depth=self.hsd_level,
             leaf_capacity=self.octree_leaf_capacity,
             reps_per_node=self.octree_reps_per_node,
         )
@@ -162,6 +162,15 @@ def _is_manifest(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the input's path to a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,12 +179,10 @@ def _is_manifest(path: Path) -> bool:
 def _dataset_features(cfg: RunConfig, manifest, ds: evaluate.LabeledDataset, threads: int = 1):
     """`evaluate.dataset_features` under the run config; a ValueError names
     the manifest."""
-    try:
+    with _naming(manifest):
         return evaluate.dataset_features(
-            ds, cfg.feature_mode, cfg.sd_config(), cfg.octree_config(), cfg.hsd_level, threads
+            ds, cfg.feature_mode, cfg.sd_config(), cfg.octree_config(), threads
         )
-    except ValueError as exc:
-        raise ValueError(f"{manifest}: {exc}") from None
 
 
 def cmd_features(args) -> int:
@@ -189,15 +196,12 @@ def cmd_features(args) -> int:
     else:
         cloud = load_cloud(path)
         ranges = sd_ranges(cloud.bbox_diagonal())
-        try:
+        with _naming(path):
             feats = [
                 evaluate.object_4features(
-                    cloud, cfg.feature_mode, cfg.sd_config(), ranges, cfg.octree_config(),
-                    cfg.hsd_level,
+                    cloud, cfg.feature_mode, cfg.sd_config(), ranges, cfg.octree_config()
                 )
             ]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         names = [path.stem]
     for feat, name in zip(feats, names):
         write_features_csv([feat[k] for k in evaluate.KINDS], out / f"features_{name}.csv")
@@ -236,8 +240,15 @@ def cmd_align(args) -> int:
     out = _out_dir(args)
     ds = evaluate.load_manifest(args.manifest)
     objects = [c for c, _ in ds.objects]
-    sim = alignment.similarity_matrix(objects, cfg.sd_config())
-    result = alignment.align_group(objects, cfg.icp_config(), cfg.sd_config(), similarity=sim)
+    least = alignment.ICP_MIN_POINTS
+    with _naming(args.manifest):  # before the similarity matrix, which takes any size
+        for i, (cloud, category) in enumerate(ds.objects):
+            if len(cloud) < least:
+                raise ValueError(
+                    f"object {i} ({category}): ICP needs at least {least} points, got {len(cloud)}"
+                )
+        sim = alignment.similarity_matrix(objects, cfg.sd_config())
+    result = alignment.align_group(objects, sim, cfg.icp_config())
     alignment.write_similarity_csv(sim, out / "similarity.csv")
     alignment.write_transforms_csv(result, out / "transforms.csv")
     alignment.write_merges_csv(result, out / "merges.csv")
@@ -258,7 +269,7 @@ def cmd_eval(args) -> int:
     kinds = evaluate.kind_distances(feats)
     stats_rows = []
     for strategy in strategies:
-        m = evaluate.distance_matrix(ds, kinds, strategy, cfg.feature_mode)
+        m = evaluate.distance_matrix(ds, kinds, strategy)
         tag = f"{strategy}_{cfg.feature_mode}"
         evaluate.write_matrix_csv(m, out / f"distance_matrix_{tag}.csv")
         evaluate.write_matrix_pgm(m, out / f"heatmap_{tag}.pgm")
@@ -273,10 +284,11 @@ def cmd_spin(args) -> int:
     out = _out_dir(args)
     cloud = load_cloud(args.cloud)
     radius = cfg.spin_support_radius if cfg.spin_support_radius > 0 else None
-    images = spinimage.spin_images(cloud, support_radius=radius)
+    with _naming(args.cloud):  # the auto radius and the image count come from the cloud
+        images = spinimage.spin_images(cloud, support_radius=radius)
+        cb = spinimage.train_codebook(images, cfg.spin_codebook_kind) if args.train else None
 
-    if args.train:
-        cb = spinimage.train_codebook(images, cfg.spin_codebook_kind)
+    if cb is not None:
         spinimage.save_codebook(cb, out / "codebook.csv")
     elif args.codebook:
         cb = spinimage.load_codebook(args.codebook)
@@ -289,7 +301,8 @@ def cmd_spin(args) -> int:
         for i, row in enumerate(codes.tolist()):
             fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
 
-    labeling = spinimage.cluster_parts(codes, cfg.parts_k, seed=cfg.seed + SEED_SPIN_CLUSTER)
+    with _naming(args.cloud):
+        labeling = spinimage.cluster_parts(codes, cfg.parts_k, seed=cfg.seed + SEED_SPIN_CLUSTER)
     with open(out / "labels.csv", "w") as fh:
         fh.write("point_index,label\n")
         for i, label in enumerate(labeling.labels):

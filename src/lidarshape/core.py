@@ -123,10 +123,6 @@ class Histogram1D:
         return Histogram1D(self.lo, self.hi, self.mass / total)
 
     @staticmethod
-    def empty(lo: float, hi: float, bins: int) -> "Histogram1D":
-        return Histogram1D(lo, hi, np.zeros(int(bins)))
-
-    @staticmethod
     def bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
         """Bin of each value as int64; out-of-range values clamp to the edge bins."""
         values = np.asarray(values, dtype=np.float64).ravel()

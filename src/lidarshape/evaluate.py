@@ -2,12 +2,13 @@
 
 Every object gets D2, A3, T3, R3 histograms over ranges fixed once from the
 dataset-wide maximum diameter (so histograms are comparable across objects),
-either exactly or via the octree-accelerated path. One EMD pass scores every
-object pair per histogram (`kind_distances`); each of the three strategies
-(average, smallest, biggest of the four) is then a reduction of that one
-array, and per-category statistics summarize how tight each category is
-relative to everything else: the within/across mean-distance ratio should
-sit well below 1 for well-separated classes.
+either exactly or via HSD over the reps of the octree's deepest level
+(`OctreeConfig.max_depth`). One EMD pass scores every object pair per
+histogram (`kind_distances`); each of the three strategies (average,
+smallest, biggest of the four) is then a reduction of that one array, and
+`group_stats` gives one `CategoryStats` per category, in the order the
+dataset's objects first name them: the within/across mean-distance ratio
+should sit well below 1 for well-separated classes.
 """
 
 from __future__ import annotations
@@ -31,21 +32,11 @@ UNDEFINED = "NA"  # explicit marker for stats that do not exist
 @dataclass(frozen=True)
 class LabeledDataset:
     objects: Tuple[Tuple[PointCloud, str], ...]
-    categories: Tuple[str, ...]
 
-    def __post_init__(self):
-        known = set(self.categories)
-        for _, cat in self.objects:
-            if cat not in known:
-                raise ValueError(f"object category {cat!r} not in category list")
-
-    @staticmethod
-    def from_pairs(pairs: Sequence[Tuple[PointCloud, str]]) -> "LabeledDataset":
-        cats = []
-        for _, cat in pairs:
-            if cat not in cats:
-                cats.append(cat)
-        return LabeledDataset(objects=tuple(pairs), categories=tuple(cats))
+    @property
+    def categories(self) -> Tuple[str, ...]:
+        """Each category once, in order of its first object."""
+        return tuple(dict.fromkeys(cat for _, cat in self.objects))
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -76,7 +67,7 @@ def load_manifest(path) -> LabeledDataset:
             pairs.append((load_cloud(cloud_path, label=cat), cat))
     if not pairs:
         raise ValueError(f"{path}: manifest lists no objects")
-    return LabeledDataset.from_pairs(pairs)
+    return LabeledDataset(tuple(pairs))
 
 
 def dataset_max_diameter(ds: LabeledDataset) -> float:
@@ -89,9 +80,9 @@ def object_4features(
     cfg: SDConfig,
     ranges: Dict[str, Tuple[float, float]],
     octree_cfg: OctreeConfig = OctreeConfig(),
-    level: int = 3,
 ) -> Dict[str, SDFeature]:
-    """All four histograms for one object, over the supplied fixed ranges."""
+    """All four histograms for one object, over the supplied fixed ranges;
+    HSD reads the reps of the octree's deepest level, `octree_cfg.max_depth`."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if len(cloud) < 4:
@@ -104,15 +95,13 @@ def object_4features(
         if mode == "exact":
             out[kind] = exact_sd(cloud, kind, kind_cfg)
         else:
-            out[kind] = hsd(root, kind, level, kind_cfg)
+            out[kind] = hsd(root, kind, octree_cfg.max_depth, kind_cfg)
     return out
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     values: np.ndarray
-    strategy: str
-    mode: str
     row_categories: Tuple[str, ...]
     row_objects: Tuple[int, ...]  # original dataset indices, category-blocked
 
@@ -122,7 +111,6 @@ def dataset_features(
     mode: str,
     cfg: SDConfig,
     octree_cfg: OctreeConfig = OctreeConfig(),
-    level: int = 3,
     threads: int = 1,
 ) -> List[Dict[str, SDFeature]]:
     """Per-object features in dataset order; ranges fixed from the dataset
@@ -134,7 +122,7 @@ def dataset_features(
     def one(item):
         i, (cloud, category) = item
         try:
-            return object_4features(cloud, mode, cfg, ranges, octree_cfg, level)
+            return object_4features(cloud, mode, cfg, ranges, octree_cfg)
         except ValueError as exc:
             raise ValueError(f"object {i} ({category}): {exc}") from None
 
@@ -171,10 +159,7 @@ def kind_distances(feats: Sequence[Dict[str, SDFeature]]) -> np.ndarray:
 
 
 def distance_matrix(
-    ds: LabeledDataset,
-    kinds: np.ndarray,
-    strategy: str = "average",
-    mode: str = "exact",
+    ds: LabeledDataset, kinds: np.ndarray, strategy: str = "average"
 ) -> DistanceMatrix:
     """Category-blocked object distances: the strategy's aggregate of the four
     per-kind EMDs in `kinds` (from `kind_distances` in dataset order)."""
@@ -187,8 +172,6 @@ def distance_matrix(
     values = _REDUCE[strategy](kinds[np.ix_(order, order)], axis=-1)
     return DistanceMatrix(
         values=values,
-        strategy=strategy,
-        mode=mode,
         row_categories=tuple(ds.objects[i][1] for i in order),
         row_objects=tuple(order),
     )
@@ -209,13 +192,9 @@ class CategoryStats:
         return self.within_mean / self.across_mean
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    per_category: Tuple[CategoryStats, ...]
-
-
-def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> GroupStats:
-    """Population mean/variance of within- and across-category entries.
+def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> Tuple[CategoryStats, ...]:
+    """Population mean/variance of within- and across-category entries, one
+    record per category in `ds.categories` order.
 
     Within uses unordered same-category pairs; across pairs the category's
     objects with every object outside it. Singleton categories have no
@@ -244,7 +223,7 @@ def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> GroupStats:
                 across_var=across_var,
             )
         )
-    return GroupStats(per_category=tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +247,17 @@ def write_matrix_csv(m: DistanceMatrix, path) -> None:
             fh.write(f"{m.row_categories[i]}:{m.row_objects[i]},{row}\n")
 
 
-def write_stats_csv(stats_rows: Sequence[Tuple[GroupStats, str, str]], path) -> None:
-    """Rows of (stats, strategy, mode) flattened to one CSV line per category."""
+def write_stats_csv(
+    stats_rows: Sequence[Tuple[Sequence[CategoryStats], str, str]], path
+) -> None:
+    """Rows of (group_stats result, strategy, mode) flattened to one CSV line
+    per category."""
     with open(path, "w") as fh:
         fh.write(
             "category,within_mean,within_var,across_mean,across_var,ratio,strategy,mode\n"
         )
         for stats, strategy, mode in stats_rows:
-            for cs in stats.per_category:
+            for cs in stats:
                 fh.write(
                     f"{cs.category},{_fmt(cs.within_mean)},{_fmt(cs.within_var)},"
                     f"{_fmt(cs.across_mean)},{_fmt(cs.across_var)},{_fmt(cs.ratio)},"

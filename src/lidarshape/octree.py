@@ -10,7 +10,8 @@ full cross product of points.
 The tree is built breadth first, one array pass per depth: the bounds and
 reps of every node at a depth come out as arrays (`lo` and `hi` rows, and
 one `REP_DTYPE` record array of position, weight and scatter), and each
-node holds its rows and its slice of them.
+node holds its rows and its slice of them. It stops at `max_depth`, the
+level whose reps `hsd` reads, so no level below that one is built.
 
 The tree is immutable after build; concurrent read traversal is safe.
 """
@@ -25,15 +26,24 @@ import numpy as np
 from .core import PointCloud
 
 
+# deepest level a tree may have: each level is one build pass, and a cube
+# 2**-32 of the root's side is far below any scanner's resolution
+MAX_DEPTH = 32
+
+
 @dataclass(frozen=True)
 class OctreeConfig:
-    max_depth: int = 6
+    """max_depth is the deepest level built, the one HSD reads."""
+
+    max_depth: int = 3
     leaf_capacity: int = 32
     reps_per_node: int = 8
 
     def __post_init__(self):
         if self.max_depth < 1 or self.leaf_capacity < 1 or self.reps_per_node < 1:
             raise ValueError(f"octree parameters must be positive: {self}")
+        if self.max_depth > MAX_DEPTH:
+            raise ValueError(f"octree max_depth must be at most {MAX_DEPTH}, got {self.max_depth}")
 
 
 REP_DTYPE = np.dtype(

@@ -382,7 +382,8 @@ def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeat
 
 def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> SDFeature:
     """Hierarchical shape distribution over the representative points of one
-    octree level (shallower leaves stand in for missing descendants).
+    octree level (shallower leaves stand in for missing descendants, so a
+    level deeper than the tree's `max_depth` reads its deepest level).
 
     Enumerates all rep tuples when they fit the budget, weighting each
     Gaussian vote by the product of rep weights; otherwise draws seeded

@@ -64,8 +64,6 @@ class Codebook:
 @dataclass(frozen=True)
 class PartLabeling:
     labels: np.ndarray
-    k: int
-    centers: np.ndarray
     inertia_history: tuple
 
 
@@ -277,7 +275,7 @@ def cluster_parts(codes: np.ndarray, k: int, seed: int = 0) -> PartLabeling:
             members = codes[labels == j]
             if members.shape[0] > 0:
                 centers[j] = members.mean(axis=0)
-    return PartLabeling(labels=labels, k=k, centers=centers, inertia_history=tuple(history))
+    return PartLabeling(labels=labels, inertia_history=tuple(history))
 
 
 def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from lidarshape.cli import main
 from lidarshape.core import Histogram1D, PointCloud, Transform4DOF, apply_transform, emd_1d, save_cloud
-from lidarshape.alignment import ICPConfig, align_group, icp_4dof, icp_4dof_history
+from lidarshape.alignment import ICPConfig, align_group, icp_4dof, similarity_matrix
 from lidarshape.evaluate import (
     STRATEGIES,
     LabeledDataset,
@@ -167,7 +167,7 @@ def test_icp_recovery_50_trials():
         noisy = apply_transform(cloud, planted).points + rng.normal(
             scale=0.01 * diam, size=(len(cloud), 3)
         )
-        t, series = icp_4dof_history(cloud, PointCloud(noisy))
+        t, series = icp_4dof(cloud, PointCloud(noisy))
         monotone &= all(
             series[i + 1] <= series[i] + 1e-12 for i in range(len(series) - 1)
         )
@@ -203,7 +203,7 @@ def test_group_alignment_four_copies():
             theta=rng.uniform(-math.radians(25), math.radians(25)),
         )
         objs.append(apply_transform(base, t))
-    out = align_group(objs, sd_cfg=SDConfig(sample_budget=2_000))
+    out = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=2_000)))
     aligned = [t.apply_points(o.points) for t, o in zip(out.transforms, objs)]
     worst = max(
         float(cKDTree(aligned[j]).query(aligned[i])[0].mean())
@@ -229,14 +229,14 @@ def test_eval_separation_three_classes_under_5min():
 
     t0 = time.time()
     objs = make_dataset({"sphere": 30, "cylinder": 30, "box": 30}, n_points=300, seed=77)
-    ds = LabeledDataset.from_pairs([(o, o.label) for o in objs])
+    ds = LabeledDataset(tuple((o, o.label) for o in objs))
     cfg = SDConfig(seed=7)
     worst = 0.0
     for mode in ("exact", "hsd"):
         kinds = kind_distances(dataset_features(ds, mode, cfg))
         for strategy in STRATEGIES:
-            m = distance_matrix(ds, kinds, strategy, mode)
-            for cs in group_stats(m, ds).per_category:
+            m = distance_matrix(ds, kinds, strategy)
+            for cs in group_stats(m, ds):
                 worst = max(worst, cs.ratio)
     elapsed = time.time() - t0
     ok = worst < 1.0 and elapsed < 300.0

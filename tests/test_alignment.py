@@ -146,7 +146,7 @@ def test_icp_identity_case():
     rng = np.random.default_rng(23)
     cloud = blob(rng)
     t, rms = icp_4dof(cloud, cloud)
-    assert rms == pytest.approx(0.0, abs=1e-12)
+    assert rms[-1] == pytest.approx(0.0, abs=1e-12)
     assert abs(t.theta) < 1e-12
     assert abs(t.tx) + abs(t.ty) + abs(t.tz) < 1e-12
 
@@ -174,7 +174,7 @@ def test_icp_recovers_planted_transform_noiseless():
     assert abs(t.tx - planted.tx) < 1e-3
     assert abs(t.ty - planted.ty) < 1e-3
     assert abs(t.tz - planted.tz) < 1e-3
-    assert rms < 1e-6
+    assert rms[-1] < 1e-6
 
 
 def test_icp_planted_recovery_with_noise_50_trials():
@@ -196,13 +196,11 @@ def test_icp_planted_recovery_with_noise_50_trials():
 
 
 def test_icp_trimmed_rms_monotone():
-    from lidarshape.alignment import icp_4dof_history
-
     rng = np.random.default_rng(41)
     cloud = blob(rng, n=150)
     planted = random_4dof(rng, max_theta=math.radians(25), t_scale=0.3)
     target = apply_transform(cloud, planted)
-    _, series = icp_4dof_history(cloud, target, ICPConfig(rms_tol=0.0))
+    _, series = icp_4dof(cloud, target, ICPConfig(rms_tol=0.0))
     assert len(series) > 3
     assert all(series[i + 1] <= series[i] + 1e-12 for i in range(len(series) - 1))
 
@@ -252,7 +250,8 @@ def mean_nn_distance(a: np.ndarray, b: np.ndarray) -> float:
 def test_align_two_identical_objects():
     rng = np.random.default_rng(47)
     cloud = blob(rng)
-    out = align_group([cloud, PointCloud(cloud.points.copy())], sd_cfg=SDConfig(sample_budget=2_000))
+    objs = [cloud, PointCloud(cloud.points.copy())]
+    out = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=2_000)))
     assert len(out.merges) == 1
     t = out.merges[0].transform
     assert abs(t.theta) < 1e-9
@@ -262,7 +261,7 @@ def test_align_two_identical_objects():
 def test_align_group_structure():
     rng = np.random.default_rng(53)
     objs = [blob(rng, n=80) for _ in range(5)]
-    out = align_group(objs, sd_cfg=SDConfig(sample_budget=1_000))
+    out = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=1_000)))
     assert len(out.merges) == 4
     assert len(out.transforms) == 5
 
@@ -275,7 +274,7 @@ def test_align_group_planted_copies_converge():
     for _ in range(3):
         t = random_4dof(rng, max_theta=math.radians(25), t_scale=0.3 * diam)
         objs.append(apply_transform(base, t))
-    out = align_group(objs, sd_cfg=SDConfig(sample_budget=2_000))
+    out = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=2_000)))
     aligned = [t.apply_points(o.points) for t, o in zip(out.transforms, objs)]
     for i in range(4):
         for j in range(4):
@@ -286,8 +285,8 @@ def test_align_group_planted_copies_converge():
 def test_align_group_deterministic_merge_order():
     rng = np.random.default_rng(61)
     objs = [blob(rng, n=60) for _ in range(4)]
-    a = align_group(objs, sd_cfg=SDConfig(sample_budget=1_000, seed=5))
-    b = align_group(objs, sd_cfg=SDConfig(sample_budget=1_000, seed=5))
+    a = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=1_000, seed=5)))
+    b = align_group(objs, similarity_matrix(objs, SDConfig(sample_budget=1_000, seed=5)))
     assert [(m.source_object, m.target_object) for m in a.merges] == [
         (m.source_object, m.target_object) for m in b.merges
     ]
@@ -319,7 +318,7 @@ def test_align_group_records_follow_set_scan():
     objs = [blob(rng, n=60) for _ in range(5)]
     objs.append(PointCloud(objs[2].points.copy()))  # a distance-0 tie
     sim = similarity_matrix(objs, SDConfig(sample_budget=1_000))
-    out = align_group(objs, similarity=sim)
+    out = align_group(objs, sim)
     records = [
         (m.kept_set, m.merged_set, m.target_object, m.source_object, m.distance)
         for m in out.merges
@@ -336,7 +335,7 @@ def test_csv_exports(tmp_path):
     rng = np.random.default_rng(67)
     objs = [blob(rng, n=60) for _ in range(3)]
     sim = similarity_matrix(objs, SDConfig(sample_budget=1_000))
-    out = align_group(objs, sd_cfg=SDConfig(sample_budget=1_000))
+    out = align_group(objs, sim)
 
     write_similarity_csv(sim, tmp_path / "sim.csv")
     lines = (tmp_path / "sim.csv").read_text().splitlines()

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import math
 import os
 import re
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import lidarshape
+import lidarshape.cli
 from lidarshape.cli import RunConfig, main
 from lidarshape.core import PointCloud, save_cloud
 from lidarshape.shapedist import MAX_SAMPLE_BUDGET, SDConfig
@@ -58,6 +61,21 @@ def test_config_defaults_and_parsing(tmp_path):
     assert cfg.sample_budget == 200_000  # untouched default
 
 
+def test_every_config_key_is_read():
+    # a key that no code reads is a setting that changes nothing
+    tree = ast.parse(Path(lidarshape.cli.__file__).read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("cfg", "self")
+    }
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert unread == []
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("no_such_knob = 3\n")
@@ -83,6 +101,7 @@ def test_config_rejects_bad_value(tmp_path):
         ("parts_k = 0", "parts_k must be positive, got 0"),
         ("threads = 0", "threads must be positive, got 0"),
         ("hsd_level = 0", "hsd_level must be positive, got 0"),
+        ("hsd_level = 33", "octree max_depth must be at most 32, got 33"),
         ("tile_size = 0", "tile_size must be positive, got 0.0"),
         ("tile_size = nan", "tile_size must be positive, got nan"),
         ("feature_mode = bogus", "feature_mode must be one of ('exact', 'hsd'), got 'bogus'"),
@@ -209,8 +228,12 @@ def degenerate_cloud(shape):
     rng = np.random.default_rng(19)
     if shape == "duplicates":
         return np.tile([[1.0, 2.0, 3.0]], (10, 1))
+    if shape == "one-point":
+        return np.array([[1.0, 2.0, 3.0]])
     if shape == "two-points":
         return np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    if shape == "four-points":
+        return np.vstack([np.zeros(3), np.eye(3)])
     if shape == "collinear":
         return np.linspace(0.0, 1.0, 30)[:, None] * np.array([[1.0, 2.0, 3.0]])
     pts = rng.random((40, 3))
@@ -544,6 +567,45 @@ def test_spin_bad_codebook_exits_2_naming_file_and_line(tmp_path, object_file, c
 
 def test_spin_requires_train_or_codebook(tmp_path, object_file):
     assert main(["spin", str(object_file), "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("command", ["spin", "roi", "align"])
+@pytest.mark.parametrize(
+    "shape", ["duplicates", "one-point", "two-points", "four-points", "collinear", "coplanar"]
+)
+def test_small_or_flat_cloud_exits_0_or_names_its_input(tmp_path, capsys, command, shape):
+    cloud = tmp_path / f"{shape}.xyz"
+    save_cloud(PointCloud(degenerate_cloud(shape)), cloud)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"{cloud.name},{shape}\n{cloud.name},{shape}\n")
+    path, flags = {"spin": (cloud, ["--train"]), "roi": (cloud, []), "align": (manifest, [])}[command]
+    code = main([command, str(path), *flags, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"error: {path}: ")
+    elif code == 1:
+        assert "no planar spread" in err
+    else:
+        assert code == 0, err
+
+
+def test_align_small_object_named_before_similarity(tmp_path, capsys, monkeypatch):
+    from lidarshape import alignment
+
+    rng = np.random.default_rng(29)
+    save_cloud(make_object("box", 60, rng), tmp_path / "box.xyz")
+    save_cloud(PointCloud(degenerate_cloud("two-points")), tmp_path / "pair.xyz")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("box.xyz,box\npair.xyz,pair\n")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("similarity computed for a manifest that cannot be aligned")
+
+    monkeypatch.setattr(alignment, "similarity_matrix", fail)
+    assert main(["align", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: object 1 (pair): ICP needs at least 3 points, got 2")
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def test_histogram_bin_boundary_goes_right():
 
 def test_histogram_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        Histogram1D.empty(1.0, 1.0, 4)
+        Histogram1D(1.0, 1.0, np.zeros(4))
     with pytest.raises(ValueError):
         Histogram1D(0.0, 1.0, np.array([0.5, -0.5]))
 
@@ -416,8 +416,8 @@ def test_emd_single_mover_analytic():
 
 
 def test_emd_mismatched_support_raises():
-    a = Histogram1D.empty(0.0, 1.0, 4)
-    b = Histogram1D.empty(0.0, 2.0, 4)
+    a = Histogram1D(0.0, 1.0, np.zeros(4))
+    b = Histogram1D(0.0, 2.0, np.zeros(4))
     with pytest.raises(ValueError, match="support"):
         emd_1d(Histogram1D(0.0, 1.0, np.full(4, 0.25)), Histogram1D(0.0, 2.0, np.full(4, 0.25)))
     del a, b

@@ -32,12 +32,12 @@ def tiny_dataset(rng, per_class=3, n=120):
     for kind in ("sphere", "box"):
         for _ in range(per_class):
             objs.append((make_object(kind, n, rng), kind))
-    return LabeledDataset.from_pairs(objs)
+    return LabeledDataset(tuple(objs))
 
 
 def exact_matrix(ds, cfg, strategy="average"):
     kinds = kind_distances(dataset_features(ds, "exact", cfg))
-    return distance_matrix(ds, kinds, strategy, "exact")
+    return distance_matrix(ds, kinds, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_hsd_mode_close_to_exact():
     ranges = sd_ranges(cloud.bbox_diagonal())
     cfg = SDConfig(seed=2)
     ex = object_4features(cloud, "exact", cfg, ranges)
-    hs = object_4features(cloud, "hsd", cfg, ranges, OctreeConfig(), level=3)
+    hs = object_4features(cloud, "hsd", cfg, ranges, OctreeConfig())
     for kind in KINDS:
         assert histogram_l1(ex[kind].histogram, hs[kind].histogram) <= 0.15
 
@@ -94,7 +94,7 @@ def test_identical_features_zero_under_all_strategies():
     cloud = make_object("box", 80, rng)
     ranges = sd_ranges(cloud.bbox_diagonal())
     f = object_4features(cloud, "exact", SDConfig(sample_budget=2_000), ranges)
-    ds = LabeledDataset.from_pairs([(cloud, "box"), (cloud, "box")])
+    ds = LabeledDataset(((cloud, "box"), (cloud, "box")))
     kinds = kind_distances([f, f])
     assert np.all(kinds == 0.0)
     for strategy in STRATEGIES:
@@ -110,7 +110,7 @@ def test_strategy_ordering():
     cfg = SDConfig(sample_budget=2_000)
     a = object_4features(a_cloud, "exact", cfg, ranges)
     b = object_4features(b_cloud, "exact", cfg, ranges)
-    ds = LabeledDataset.from_pairs([(a_cloud, "box"), (b_cloud, "sphere")])
+    ds = LabeledDataset(((a_cloud, "box"), (b_cloud, "sphere")))
     kinds = kind_distances([a, b])
     small, avg, big = (
         distance_matrix(ds, kinds, s).values[0, 1] for s in ("smallest", "average", "biggest")
@@ -131,7 +131,7 @@ def test_average_strategy_is_mean_of_four_emds():
     emds = [emd_1d(a[k].histogram, b[k].histogram) for k in KINDS]
     kinds = kind_distances([a, b])
     assert kinds[0, 1].tolist() == emds and kinds[1, 0].tolist() == emds
-    ds = LabeledDataset.from_pairs([(a_cloud, "box"), (b_cloud, "cylinder")])
+    ds = LabeledDataset(((a_cloud, "box"), (b_cloud, "cylinder")))
     expected = sum(emds) / 4
     assert distance_matrix(ds, kinds, "average").values[0, 1] == pytest.approx(expected, abs=1e-12)
 
@@ -142,13 +142,13 @@ def test_distance_matrix_matches_per_pair_loop_bitwise(mode):
     # earlier one, so the loop scores some pairs in the other argument order
     rng = np.random.default_rng(59)
     kinds_of = ("box", "sphere", "box", "pole", "sphere", "box")
-    ds = LabeledDataset.from_pairs([(make_object(k, 60, rng), k) for k in kinds_of])
+    ds = LabeledDataset(tuple((make_object(k, 60, rng), k) for k in kinds_of))
     feats = dataset_features(ds, mode, SDConfig(sample_budget=1_000, seed=4))
     kinds = kind_distances(feats)
     order = block_order(ds)
     assert order != sorted(order)
     for strategy in STRATEGIES:
-        m = distance_matrix(ds, kinds, strategy, mode)
+        m = distance_matrix(ds, kinds, strategy)
         oracle = distance_matrix_per_pair(feats, order, strategy)
         assert m.values.tobytes() == oracle.tobytes(), strategy
         assert m.row_objects == tuple(order)
@@ -157,11 +157,11 @@ def test_distance_matrix_matches_per_pair_loop_bitwise(mode):
 def test_distance_matrix_rejects_unknown_strategy_and_one_object():
     rng = np.random.default_rng(61)
     cloud = make_object("box", 40, rng)
-    ds = LabeledDataset.from_pairs([(cloud, "box")] * 2)
+    ds = LabeledDataset(tuple([(cloud, "box")] * 2))
     feats = dataset_features(ds, "exact", SDConfig(sample_budget=500))
     with pytest.raises(ValueError, match="unknown strategy"):
         distance_matrix(ds, kind_distances(feats), "median")
-    one = LabeledDataset.from_pairs([(cloud, "box")])
+    one = LabeledDataset(((cloud, "box"),))
     with pytest.raises(ValueError, match="at least 2 objects"):
         distance_matrix(one, kind_distances(feats[:1]))
 
@@ -200,7 +200,7 @@ def test_kind_distances_are_a_metric_per_kind(feats):
 def test_duplicated_object_gives_zero_matrix():
     rng = np.random.default_rng(17)
     cloud = make_object("box", 80, rng)
-    ds = LabeledDataset.from_pairs([(cloud, "box"), (PointCloud(cloud.points.copy()), "box")])
+    ds = LabeledDataset(((cloud, "box"), (PointCloud(cloud.points.copy()), "box")))
     m = exact_matrix(ds, SDConfig(sample_budget=1_000))
     assert np.allclose(m.values, 0.0, atol=1e-12)
 
@@ -216,10 +216,10 @@ def test_matrix_symmetric_zero_diagonal_blocked():
 
 def test_block_diagonal_dominance_three_classes():
     objs = make_dataset({"sphere": 4, "box": 4, "cylinder": 4}, n_points=150, seed=23)
-    ds = LabeledDataset.from_pairs([(o, o.label) for o in objs])
+    ds = LabeledDataset(tuple((o, o.label) for o in objs))
     m = exact_matrix(ds, SDConfig(sample_budget=2_000, seed=1))
     stats = group_stats(m, ds)
-    for cs in stats.per_category:
+    for cs in stats:
         assert cs.within_mean < cs.across_mean
         assert cs.ratio < 1
 
@@ -228,29 +228,29 @@ def test_group_stats_identical_within_classes():
     rng = np.random.default_rng(29)
     a = make_object("sphere", 80, rng)
     b = make_object("pole", 80, rng)
-    ds = LabeledDataset.from_pairs(
-        [
+    ds = LabeledDataset(
+        (
             (a, "sphere"),
             (PointCloud(a.points.copy()), "sphere"),
             (b, "pole"),
             (PointCloud(b.points.copy()), "pole"),
-        ]
+        )
     )
     m = exact_matrix(ds, SDConfig(sample_budget=1_000))
     stats = group_stats(m, ds)
-    for cs in stats.per_category:
+    for cs in stats:
         assert cs.within_mean == pytest.approx(0.0, abs=1e-12)
         assert cs.across_mean > 0
         assert cs.ratio == pytest.approx(0.0, abs=1e-9)
 
 
 def by_category(stats):
-    return {cs.category: cs for cs in stats.per_category}
+    return {cs.category: cs for cs in stats}
 
 
 def test_single_category_across_undefined():
     rng = np.random.default_rng(31)
-    ds = LabeledDataset.from_pairs([(make_object("box", 60, rng), "box") for _ in range(3)])
+    ds = LabeledDataset(tuple((make_object("box", 60, rng), "box") for _ in range(3)))
     m = exact_matrix(ds, SDConfig(sample_budget=500))
     cs = by_category(group_stats(m, ds))["box"]
     assert cs.across_mean is None
@@ -260,11 +260,11 @@ def test_single_category_across_undefined():
 
 def test_singleton_category_within_undefined():
     rng = np.random.default_rng(37)
-    ds = LabeledDataset.from_pairs(
-        [
+    ds = LabeledDataset(
+        (
             (make_object("box", 60, rng), "box"),
             (make_object("sphere", 60, rng), "sphere"),
-        ]
+        )
     )
     m = exact_matrix(ds, SDConfig(sample_budget=500))
     box = by_category(group_stats(m, ds))["box"]
@@ -299,8 +299,8 @@ def test_group_stats_invariant_to_within_category_permutation():
     rng = np.random.default_rng(43)
     objs = [(make_object("box", 70, rng), "box") for _ in range(3)]
     objs += [(make_object("sphere", 70, rng), "sphere") for _ in range(3)]
-    ds1 = LabeledDataset.from_pairs(objs)
-    ds2 = LabeledDataset.from_pairs([objs[1], objs[0], objs[2]] + objs[3:])
+    ds1 = LabeledDataset(tuple(objs))
+    ds2 = LabeledDataset(tuple([objs[1], objs[0], objs[2]] + objs[3:]))
     cfg = SDConfig(sample_budget=1_000, seed=2)
     s1 = by_category(group_stats(exact_matrix(ds1, cfg), ds1))
     s2 = by_category(group_stats(exact_matrix(ds2, cfg), ds2))
@@ -352,7 +352,7 @@ def test_matrix_exports(tmp_path):
 
     from lidarshape.evaluate import group_stats as gs
 
-    write_stats_csv([(gs(m, ds), m.strategy, m.mode)], tmp_path / "s.csv")
+    write_stats_csv([(gs(m, ds), "average", "exact")], tmp_path / "s.csv")
     lines = (tmp_path / "s.csv").read_text().splitlines()
     assert lines[0].startswith("category,within_mean")
     assert len(lines) == 1 + len(ds.categories)

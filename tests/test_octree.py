@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lidarshape.cli import RunConfig
 from lidarshape.core import PointCloud
 from lidarshape.octree import (
+    MAX_DEPTH,
     REP_DTYPE,
     OctreeConfig,
     build_octree,
@@ -164,6 +166,23 @@ def test_nodes_at_level_cover_all_points():
         assert sum(n.count for n in nodes) == 3000
         for n in nodes:
             assert n.depth == level or (n.is_leaf and n.depth < level)
+
+
+def test_run_config_tree_stops_at_the_hsd_level():
+    # 5000 points on a cylinder would split past level 3 if the tree went deeper
+    cfg = RunConfig()
+    root = build_octree(make_object("cylinder", 5000, np.random.default_rng(1)), cfg.octree_config())
+    nodes = list(iter_nodes(root))
+    assert max(node.depth for node in nodes) == cfg.hsd_level
+    leaves = [node for node in nodes if node.is_leaf]
+    level = nodes_at_level(root, cfg.hsd_level)
+    assert len(level) == len(leaves) and all(a is b for a, b in zip(level, leaves))
+
+
+def test_depth_is_bounded():
+    assert OctreeConfig(max_depth=MAX_DEPTH).max_depth == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"at most {MAX_DEPTH}, got {MAX_DEPTH + 1}"):
+        OctreeConfig(max_depth=MAX_DEPTH + 1)
 
 
 def test_degenerate_planar_cloud_builds():

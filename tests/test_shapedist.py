@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lidarshape.shapedist as shapedist
+from lidarshape.alignment import feature_ranges_for_group, shape_features
 from lidarshape.core import Histogram1D, PointCloud, Transform4DOF, apply_transform
-from lidarshape.octree import OctreeConfig, build_octree
+from lidarshape.octree import OctreeConfig, build_octree, nodes_at_level
 from lidarshape.shapedist import (
     KINDS,
     ARITY,
@@ -288,14 +289,14 @@ def one_gaussian(h, mu, sigma2, weight):
 
 
 def test_vote_point_mass_lands_mid_bin():
-    h = Histogram1D.empty(0.0, 8.0, 8)
+    h = Histogram1D(0.0, 8.0, np.zeros(8))
     out = one_gaussian(h, mu=3.5, sigma2=0.0, weight=2.0)
     assert out[3] == 2.0
     assert out.sum() == 2.0
 
 
 def test_vote_three_sigma_mass_coverage():
-    h = Histogram1D.empty(0.0, 1.0, 100)
+    h = Histogram1D(0.0, 1.0, np.zeros(100))
     sigma = 0.01
     out = one_gaussian(h, mu=0.5, sigma2=sigma**2, weight=1.0)
     center = Histogram1D.bin_indices([0.5], h.lo, h.hi, h.bins)[0]
@@ -306,7 +307,7 @@ def test_vote_three_sigma_mass_coverage():
 def test_vote_mass_conservation_with_clamping():
     rng = np.random.default_rng(83)
     for _ in range(50):
-        h = Histogram1D.empty(0.0, 1.0, 16)
+        h = Histogram1D(0.0, 1.0, np.zeros(16))
         mu = rng.uniform(-0.5, 1.5)
         sigma2 = rng.uniform(0, 0.3) ** 2
         weight = rng.uniform(0.1, 4.0)
@@ -623,7 +624,7 @@ def test_hsd_close_to_exact_on_random_object():
 def test_hsd_weight_sampling_is_seeded():
     rng = np.random.default_rng(97)
     cloud = make_object("box", 2000, rng)
-    root = build_octree(cloud)
+    root = build_octree(cloud, OctreeConfig(max_depth=4))
     cfg = SDConfig(lo=0.0, hi=4.0, sample_budget=5_000, seed=12)
     a = hsd(root, "D2", 4, cfg)
     b = hsd(root, "D2", 4, cfg)
@@ -650,6 +651,31 @@ def test_hsd_histogram_normalized():
     root = build_octree(cloud)
     feat = hsd(root, "A3", 2, SDConfig(lo=0.0, hi=3.0))
     assert feat.histogram.total() == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def small_clouds(draw):
+    """4-60 points at one of three scales; the last `dups` rows repeat
+    earlier ones, so dups = n - 1 makes an all-duplicate cloud."""
+    n = draw(st.integers(4, 60))
+    dups = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, 3)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pts[n - dups :] = pts[rng.integers(0, n - dups, dups)]
+    return PointCloud(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=small_clouds(), level=st.integers(1, 4))
+def test_feature_histograms_conserve_mass_property(cloud, level):
+    cfg = SDConfig(bins=16, sample_budget=2_000)
+    root = build_octree(cloud, OctreeConfig(max_depth=level, leaf_capacity=4))
+    n_reps = sum(len(node.reps) for node in nodes_at_level(root, level))
+    hists = [exact_sd(cloud, kind, cfg).histogram for kind in KINDS]
+    hists += [hsd(root, kind, level, cfg).histogram for kind in KINDS if n_reps >= ARITY[kind]]
+    hists += shape_features(cloud, feature_ranges_for_group([cloud]), cfg).values()
+    for h in hists:
+        assert abs(h.mass.sum() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
