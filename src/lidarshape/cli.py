@@ -11,7 +11,7 @@ Subcommands wire the pipeline stages into reproducible runs:
 
 Configuration comes from documented defaults, overridden by an optional
 `key = value` config file (unknown keys are rejected), overridden last by
-explicit flags. All randomness derives from the single `seed` key: stages
+explicit flags; flag values pass the same checks as config values. All randomness derives from the single `seed` key: stages
 that need their own stream offset it by a fixed constant, so a rerun with
 the same seed and inputs is byte-identical.
 
@@ -37,7 +37,6 @@ from .core import PointCloud, load_cloud, save_cloud
 # requires these bindings, which its tracer wraps in every module that has one
 from .octree import OctreeConfig, build_octree
 from .shapedist import SDConfig, exact_sd, hsd, sd_ranges, write_features_csv
-from .synth import OBJECT_KINDS
 
 # fixed per-stage seed offsets (single config seed fans out to stages)
 SEED_SPIN_CLUSTER = 1
@@ -108,7 +107,7 @@ class RunConfig:
         for key, allowed in (
             ("feature_mode", evaluate.MODES),
             ("strategy", evaluate.STRATEGIES + ("all",)),
-            ("spin_codebook_kind", (spinimage.WHOLE_IMAGE, spinimage.PATCH_11X11)),
+            ("spin_codebook_kind", tuple(spinimage.DESCRIPTOR_DIMS)),
         ):
             if values[key] not in allowed:
                 raise ValueError(f"{key} must be one of {allowed}, got {values[key]!r}")
@@ -120,8 +119,9 @@ class RunConfig:
         for key in ("spin_support_radius", "icp_rms_tol", "roi_min_height"):
             if not 0 <= values[key] < math.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {values[key]}")
-        if self.roi_min_points < 0:
-            raise ValueError(f"roi_min_points must be >= 0, got {self.roi_min_points}")
+        for key in ("seed", "roi_min_points"):
+            if values[key] < 0:
+                raise ValueError(f"{key} must be >= 0, got {values[key]}")
         if math.isnan(self.roi_max_height):
             raise ValueError("roi_max_height must be a number, got nan")
 
@@ -143,21 +143,6 @@ class RunConfig:
         )
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for key in ("seed", "mode", "strategy", "threads"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, {"mode": "feature_mode"}.get(key, key), value)
-    return cfg
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _is_manifest(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
@@ -176,18 +161,16 @@ def _naming(path):
 # ---------------------------------------------------------------------------
 
 
-def _dataset_features(cfg: RunConfig, manifest, ds: evaluate.LabeledDataset, threads: int = 1):
+def _dataset_features(cfg: RunConfig, manifest, ds: evaluate.LabeledDataset):
     """`evaluate.dataset_features` under the run config; a ValueError names
     the manifest."""
     with _naming(manifest):
         return evaluate.dataset_features(
-            ds, cfg.feature_mode, cfg.sd_config(), cfg.octree_config(), threads
+            ds, cfg.feature_mode, cfg.sd_config(), cfg.octree_config(), cfg.threads
         )
 
 
-def cmd_features(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_features(args, cfg: RunConfig, out: Path) -> int:
     path = Path(args.input)
     if _is_manifest(path):
         ds = evaluate.load_manifest(path)
@@ -195,8 +178,8 @@ def cmd_features(args) -> int:
         names = [f"{i:03d}_{category}" for i, (_, category) in enumerate(ds.objects)]
     else:
         cloud = load_cloud(path)
-        ranges = sd_ranges(cloud.bbox_diagonal())
         with _naming(path):
+            ranges = sd_ranges(cloud.bbox_diagonal())
             feats = [
                 evaluate.object_4features(
                     cloud, cfg.feature_mode, cfg.sd_config(), ranges, cfg.octree_config()
@@ -209,9 +192,7 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_roi(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_roi(args, cfg: RunConfig, out: Path) -> int:
     scene = load_cloud(args.scene)
     grid = roi.build_grid(scene, cfg.tile_size)
     feats = roi.tile_features(grid, scene)
@@ -221,13 +202,8 @@ def cmd_roi(args) -> int:
     stage = np.zeros(len(grid.cells), dtype=np.int64)  # indices into roi.STAGES
     stage[kept] = 1
 
-    if (args.refine_k is not None or args.refine_tau is not None) and kept.size:
-        model = roi.train_class_model(feats.vectors()[kept])
-        if args.refine_k is not None:
-            model = model.with_k_nearest(args.refine_k)
-        else:
-            model = model.with_threshold(args.refine_tau)
-        stage[roi.refine_roi(kept, feats, model)] = 2
+    if args.refine_k is not None or args.refine_tau is not None:
+        stage[roi.refine_roi(kept, feats, k_nearest=args.refine_k, threshold=args.refine_tau)] = 2
 
     roi.write_roi_csv(grid, feats, stage, out / "roi.csv")
     roi.write_roi_pgm(grid, stage, out / "mask.pgm")
@@ -235,9 +211,7 @@ def cmd_roi(args) -> int:
     return 0
 
 
-def cmd_align(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_align(args, cfg: RunConfig, out: Path) -> int:
     ds = evaluate.load_manifest(args.manifest)
     objects = [c for c, _ in ds.objects]
     least = alignment.ICP_MIN_POINTS
@@ -259,13 +233,11 @@ def cmd_align(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_eval(args, cfg: RunConfig, out: Path) -> int:
     ds = evaluate.load_manifest(args.manifest)
     strategies = list(evaluate.STRATEGIES) if cfg.strategy == "all" else [cfg.strategy]
 
-    feats = _dataset_features(cfg, args.manifest, ds, threads=cfg.threads)
+    feats = _dataset_features(cfg, args.manifest, ds)
     kinds = evaluate.kind_distances(feats)
     stats_rows = []
     for strategy in strategies:
@@ -279,9 +251,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_spin(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_spin(args, cfg: RunConfig, out: Path) -> int:
     cloud = load_cloud(args.cloud)
     radius = cfg.spin_support_radius if cfg.spin_support_radius > 0 else None
     with _naming(args.cloud):  # the auto radius and the image count come from the cloud
@@ -290,10 +260,8 @@ def cmd_spin(args) -> int:
 
     if cb is not None:
         spinimage.save_codebook(cb, out / "codebook.csv")
-    elif args.codebook:
-        cb = spinimage.load_codebook(args.codebook)
     else:
-        raise ValueError("spin needs either --train or --codebook FILE")
+        cb = spinimage.load_codebook(args.codebook)
 
     codes = spinimage.encode_all(images, cb)
     with open(out / "codes.csv", "w") as fh:
@@ -314,16 +282,9 @@ def cmd_spin(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_synth(args, cfg: RunConfig, out: Path) -> int:
     if args.what == "dataset":
-        classes = {}
-        for name in args.classes.split(","):
-            name = name.strip()
-            if name not in OBJECT_KINDS:
-                raise ValueError(f"unknown class {name!r}; choose from {OBJECT_KINDS}")
-            classes[name] = args.per_class
+        classes = {name.strip(): args.per_class for name in args.classes.split(",")}
         objects = synth.make_dataset(classes, args.points, seed=cfg.seed + SEED_SYNTH)
         lines = ["file_path,category"]
         for i, obj in enumerate(objects):
@@ -352,27 +313,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
-    return n
-
-
-def k_nearest(text: str) -> int:
-    k = int(text)
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"k nearest must be non-negative, got {k}")
-    return k
-
-
-def distance_threshold(text: str) -> float:
-    tau = float(text)
-    if math.isnan(tau):
-        raise argparse.ArgumentTypeError("distance threshold must be a number, got nan")
-    return tau
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lidarshape",
@@ -395,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("scene", help="scene cloud (.xyz/.ply)")
     refine = p.add_mutually_exclusive_group()
-    # checked by the parser, so also when no tile becomes a candidate
-    refine.add_argument("--refine-k", type=k_nearest, default=None, help="keep K nearest tiles")
-    refine.add_argument(
-        "--refine-tau", type=distance_threshold, default=None, help="distance threshold"
-    )
+    refine.add_argument("--refine-k", type=int, default=None, help="keep K nearest tiles")
+    refine.add_argument("--refine-tau", type=float, default=None, help="distance threshold")
     p.set_defaults(func=cmd_roi)
 
     p = sub.add_parser("align", help="group alignment")
@@ -415,14 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=list(evaluate.STRATEGIES) + ["all"], default=None
     )
-    p.add_argument("--threads", type=positive_int, default=None)
+    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("spin", help="spin images, codebook, part labels")
     common(p)
     p.add_argument("cloud", help="object cloud (.xyz/.ply)")
-    p.add_argument("--train", action="store_true", help="train a codebook from this cloud")
-    p.add_argument("--codebook", default=None, help="existing codebook file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--train", action="store_true", help="train a codebook from this cloud")
+    source.add_argument("--codebook", default=None, help="existing codebook file")
     p.add_argument("--dump-images", type=int, default=0, help="write N spin-image PGMs")
     p.set_defaults(func=cmd_spin)
 
@@ -446,7 +384,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        for key in ("seed", "mode", "strategy", "threads"):
+            value = getattr(args, key, None)
+            if value is not None:
+                setattr(cfg, {"mode": "feature_mode"}.get(key, key), value)
+        cfg.check()  # flags pass the checks config keys pass
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except alignment.DegenerateFitError as exc:  # a ValueError, but numerical
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -124,12 +124,11 @@ class Histogram1D:
 
     @staticmethod
     def bin_indices(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
-        """Bin of each value as int64; out-of-range values clamp to the edge bins."""
+        """Bin of each value as int64; out-of-range values, infinities
+        included, clamp to the edge bins before the cast."""
         values = np.asarray(values, dtype=np.float64).ravel()
         width = (hi - lo) / bins
-        idx = np.floor((values - lo) / width).astype(np.int64)
-        np.clip(idx, 0, bins - 1, out=idx)
-        return idx
+        return np.clip(np.floor((values - lo) / width), 0, bins - 1).astype(np.int64)
 
     @staticmethod
     def from_values(values: np.ndarray, lo: float, hi: float, bins: int) -> "Histogram1D":

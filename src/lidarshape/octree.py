@@ -86,7 +86,7 @@ def build_octree(cloud: PointCloud, cfg: OctreeConfig = OctreeConfig()) -> Octre
     # the smallest cube centered on the bounding box, padded so flat clouds get volume
     p_lo, p_hi = pts.min(axis=0), pts.max(axis=0)
     side = float((p_hi - p_lo).max())
-    side += 1e-9 * max(1.0, side)
+    side += 1e-9 * side if side > 0 else 1e-9
     center, half = 0.5 * (p_lo + p_hi), 0.5 * side
     lo, hi = (center - half)[None, :], (center + half)[None, :]
     lo.flags.writeable = hi.flags.writeable = False  # nodes share them through their rows

@@ -12,7 +12,7 @@ recall of planted objects is governed by the basic stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -144,28 +144,15 @@ def basic_filter(
 
 @dataclass(frozen=True)
 class ClassModel:
-    """Per-class acceptance region: scale-normalized distance to the mean
-    tile-feature vector, with either a distance threshold or a K-nearest
-    acceptance rule."""
+    """Per-class feature center: tiles are scored by their scale-normalized
+    distance to the mean tile-feature vector."""
 
     center: np.ndarray
     scale: np.ndarray
-    threshold: Optional[float] = 2.0
-    k_nearest: Optional[int] = None
 
     def distances(self, vectors: np.ndarray) -> np.ndarray:
         z = (vectors - self.center) / self.scale
         return np.sqrt(np.mean(np.square(z), axis=1))
-
-    def with_k_nearest(self, k: int) -> "ClassModel":
-        if k < 0:
-            raise ValueError(f"k nearest must be non-negative, got {k}")
-        return replace(self, threshold=None, k_nearest=k)
-
-    def with_threshold(self, tau: float) -> "ClassModel":
-        if math.isnan(tau):
-            raise ValueError("distance threshold must be a number, got nan")
-        return replace(self, threshold=tau, k_nearest=None)
 
 
 def train_class_model(vectors: np.ndarray) -> ClassModel:
@@ -178,19 +165,31 @@ def train_class_model(vectors: np.ndarray) -> ClassModel:
 
 
 def refine_roi(
-    candidate_rows: np.ndarray, features: TileFeatures, model: ClassModel
+    candidate_rows: np.ndarray,
+    features: TileFeatures,
+    model: Optional[ClassModel] = None,
+    k_nearest: Optional[int] = None,
+    threshold: Optional[float] = None,
 ) -> np.ndarray:
-    """Threshold mode keeps candidates within `threshold` normalized units of
-    the class center; K-nearest mode keeps the K closest (ties by tile
-    index). Returns the kept rows in tile order, a subset of the candidates."""
+    """Keep the `k_nearest` candidates closest to the class center (ties by
+    tile index), or those within `threshold` normalized units of it; exactly
+    one rule is given. Without a model, one is trained on the candidates.
+    Returns the kept rows in tile order, a subset of the candidates."""
+    if (k_nearest is None) == (threshold is None):
+        raise ValueError("refine_roi takes exactly one of k_nearest and threshold")
+    if k_nearest is not None and k_nearest < 0:
+        raise ValueError(f"k nearest must be non-negative, got {k_nearest}")
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("distance threshold must be a number, got nan")
     rows = np.asarray(candidate_rows, dtype=np.int64)
-    d = model.distances(features.vectors()[rows])
-    if model.k_nearest is not None:
+    if rows.size == 0:
+        return rows
+    vectors = features.vectors()[rows]
+    d = (model or train_class_model(vectors)).distances(vectors)
+    if k_nearest is not None:
         # rows are in tile order, so lexsort breaks distance ties by tile
-        return np.sort(rows[np.lexsort((rows, d))[: model.k_nearest]])
-    if model.threshold is None:
-        raise ValueError("class model has neither threshold nor k_nearest set")
-    return np.sort(rows[d <= model.threshold])
+        return np.sort(rows[np.lexsort((rows, d))[:k_nearest]])
+    return np.sort(rows[d <= threshold])
 
 
 def write_roi_csv(grid: TileGrid, features: TileFeatures, stage: np.ndarray, path) -> None:

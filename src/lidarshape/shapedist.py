@@ -40,6 +40,9 @@ VOTE_BLOCK = 8192
 # the largest sample budget: a T3 tuple table of 10**7 rows takes 320 MB
 MAX_SAMPLE_BUDGET = 10**7
 CDF_GRID = 4096  # grid points of the weighted sampler's lookup table, a power of two
+# diameters `sd_ranges` accepts; HSD's T3 vote variances scale as diameter**6,
+# which stays a normal float over this window
+DIAMETER_WINDOW = (1e-40, 1e40)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,12 @@ class SDFeature:
 
 def sd_ranges(diameter: float) -> Dict[str, Tuple[float, float]]:
     """Loose analytic upper bounds per measurement for a given diameter, so
-    histogram mass never clamps for real clouds."""
-    d = max(float(diameter), 1e-12)
+    histogram mass never clamps for real clouds. A zero diameter (all points
+    equal) takes 1e-12; any other outside `DIAMETER_WINDOW` raises."""
+    d = float(diameter) or 1e-12
+    lo, hi = DIAMETER_WINDOW
+    if not lo <= d <= hi:
+        raise ValueError(f"cloud diameter {d:.9g} is outside [{lo:g}, {hi:g}]")
     return {
         "D2": (0.0, d),
         "A3": (0.0, d * d * math.sqrt(3.0) / 4.0),
@@ -255,7 +262,7 @@ def _gaussian_bin_mass(
     lo = float(edges[0])
     width = (float(edges[-1]) - lo) / bins
     point = sigma <= 0
-    center = np.clip((mu[point] - lo) / width, 0, bins - 1).astype(np.int64)
+    center = Histogram1D.bin_indices(mu[point], lo, float(edges[-1]), bins)
     out = np.bincount(center, weight[point], minlength=bins).astype(np.float64)
     smooth = np.flatnonzero(sigma > 0)
     cls = np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width))

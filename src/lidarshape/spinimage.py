@@ -41,6 +41,7 @@ CODE_COUNT = 30
 PATCH_SIZE = 11
 WHOLE_IMAGE = "whole-image"
 PATCH_11X11 = "patch-11x11"
+DESCRIPTOR_DIMS = {WHOLE_IMAGE: SPIN_CELLS, PATCH_11X11: PATCH_SIZE * PATCH_SIZE}
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,21 @@ class Codebook:
     """Orthonormal PCA basis (30 x dims) with the training mean.
 
     eigenvalues holds the full descending spectrum when the codebook was
-    trained in-process; it is absent after loading from file.
+    trained in-process; it is absent after loading from file. An unknown
+    kind, or dims other than the kind's descriptor size, raises.
     """
 
     kind: str
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.kind not in DESCRIPTOR_DIMS:
+            raise ValueError(f"unknown codebook kind {self.kind!r}")
+        dims, want = self.basis.shape[-1], DESCRIPTOR_DIMS[self.kind]
+        if dims != want:
+            raise ValueError(f"codebook dims {dims} do not match {self.kind} descriptors {want}")
 
     @property
     def dims(self) -> int:
@@ -235,11 +244,8 @@ def encode_all(images: np.ndarray, cb: Codebook) -> np.ndarray:
     whole-image: 30 projection coefficients of the image vector, one
     matrix-vector product per image (a plain matrix product rounds
     differently). patch: the per-patch coefficient vectors mean-pooled over
-    all pixels of the image. A loaded codebook of other dims raises.
+    all pixels of the image.
     """
-    dims = SPIN_CELLS if cb.kind == WHOLE_IMAGE else PATCH_SIZE * PATCH_SIZE
-    if cb.dims != dims:
-        raise ValueError(f"codebook dims {cb.dims} do not match {cb.kind} descriptors {dims}")
     if cb.kind == WHOLE_IMAGE:
         centered = images.reshape(len(images), SPIN_CELLS) - cb.mean
         return (cb.basis @ centered[:, :, None])[:, :, 0]
@@ -319,8 +325,6 @@ def load_codebook(path) -> Codebook:
         dims, count = int(dims_s), int(count_s)
     except ValueError:
         raise ParseError(path, 1, f"expected header kind,dims,count, got {lines[0]!r}") from None
-    if kind not in (WHOLE_IMAGE, PATCH_11X11):
-        raise ParseError(path, 1, f"unknown codebook kind {kind!r}")
     if len(lines) != 2 + count:
         raise ParseError(path, 1, f"header promises {count} basis rows, file has {len(lines) - 2}")
     rows = []
@@ -331,7 +335,10 @@ def load_codebook(path) -> Codebook:
             raise ParseError(path, line_no, str(exc)) from None
         if len(rows[-1]) != dims:
             raise ParseError(path, line_no, f"expected {dims} values, got {len(rows[-1])}")
-    return Codebook(kind=kind, mean=np.array(rows[0]), basis=np.array(rows[1:]))
+    try:  # the header's kind and dims must agree
+        return Codebook(kind=kind, mean=np.array(rows[0]), basis=np.array(rows[1:]))
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None
 
 
 def write_spin_pgm(grid: np.ndarray, path) -> None:

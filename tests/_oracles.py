@@ -110,19 +110,19 @@ def tile_features_per_tile(grid, scene):
     return out
 
 
-def refine_roi_per_tile(candidate_rows, per_tile, model):
+def refine_roi_per_tile(candidate_rows, per_tile, model, k_nearest=None, threshold=None):
     """ROI refinement one candidate at a time: each tile's distance to the
-    class center, then `sorted((d, row))`; `per_tile` holds the tuples of
-    `tile_features_per_tile`."""
+    class center, then `sorted((d, row))`, cut by the one rule given;
+    `per_tile` holds the tuples of `tile_features_per_tile`."""
     scored = []
     for row in candidate_rows:
         n, max_h, min_h, mass, density = per_tile[row]
         z = (np.concatenate([[n, max_h, min_h, density], mass]) - model.center) / model.scale
         scored.append((float(np.sqrt(np.mean(np.square(z)))), row))
     scored.sort()
-    if model.k_nearest is not None:
-        return sorted(row for _, row in scored[: model.k_nearest])
-    return sorted(row for d, row in scored if d <= model.threshold)
+    if k_nearest is not None:
+        return sorted(row for _, row in scored[:k_nearest])
+    return sorted(row for d, row in scored if d <= threshold)
 
 
 def load_xyz_line_by_line(path):
@@ -297,7 +297,7 @@ def build_octree_recursive(cloud, cfg):
 
     box_lo, box_hi = pts.min(axis=0), pts.max(axis=0)
     side = float((box_hi - box_lo).max())
-    side += 1e-9 * max(1.0, side)
+    side += 1e-9 * side if side > 0 else 1e-9
     center = 0.5 * (box_lo + box_hi)
     half = 0.5 * side
     return build(np.arange(len(cloud), dtype=np.int64), (center - half, center + half), 0)

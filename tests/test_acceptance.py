@@ -316,7 +316,7 @@ def test_roi_recall_ten_scenes_and_k_nearest():
     model = train_class_model(feats.vectors()[candidates])
     k_ok = True
     for k in (1, 3, len(candidates), len(candidates) + 50):
-        kept = refine_roi(candidates, feats, model.with_k_nearest(k))
+        kept = refine_roi(candidates, feats, model, k_nearest=k)
         k_ok &= len(kept) == min(k, len(candidates))
     ok = recall_ok and k_ok
     report(

@@ -119,6 +119,7 @@ def test_config_rejects_bad_value(tmp_path):
         ("icp_rms_tol = nan", "icp_rms_tol must be finite and >= 0, got nan"),
         ("icp_rms_tol = inf", "icp_rms_tol must be finite and >= 0, got inf"),
         ("roi_min_points = -5", "roi_min_points must be >= 0, got -5"),
+        ("seed = -5", "seed must be >= 0, got -5"),
         ("roi_min_height = -1", "roi_min_height must be finite and >= 0, got -1.0"),
         ("roi_min_height = nan", "roi_min_height must be finite and >= 0, got nan"),
         ("roi_min_height = inf", "roi_min_height must be finite and >= 0, got inf"),
@@ -163,8 +164,23 @@ def test_config_may_lower_both_roi_heights_max_first(tmp_path):
 def test_threads_flag_must_be_positive(tmp_path, manifest, capsys):
     argv = ["eval", str(manifest), "--threads", "0", "--out", str(tmp_path / "e")]
     assert main(argv) == 2
-    assert "argument --threads: must be positive, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: threads must be positive, got 0\n"
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "eval", "align", "spin", "roi", "synth"])
+def test_seed_flag_passes_the_config_check(tmp_path, object_file, manifest, capsys, command):
+    argv = {
+        "features": ["features", str(object_file)],
+        "eval": ["eval", str(manifest)],
+        "align": ["align", str(manifest)],
+        "spin": ["spin", str(object_file), "--train"],
+        "roi": ["roi", str(object_file)],
+        "synth": ["synth", "dataset"],
+    }[command]
+    assert main([*argv, "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_flag_overrides_config(tmp_path, object_file):
@@ -222,6 +238,43 @@ def test_features_manifest(tmp_path, manifest):
     out = tmp_path / "feat"
     assert main(["features", str(manifest), "--out", str(out)]) == 0
     assert len(list(out.glob("features_*.csv"))) == 4
+
+
+def test_features_manifest_reads_threads_and_keeps_its_bytes(tmp_path, manifest, monkeypatch):
+    from lidarshape import evaluate
+
+    seen = []
+    original = evaluate.dataset_features
+
+    def spy(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(evaluate, "dataset_features", spy)
+    outputs = []
+    for threads in (1, 2):
+        cfg_file = tmp_path / f"threads{threads}.cfg"
+        cfg_file.write_text(f"threads = {threads}\nsample_budget = 5000\n")
+        out = tmp_path / f"t{threads}"
+        argv = ["features", str(manifest), "--mode", "hsd", "--config", str(cfg_file)]
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append(read_all_csvs(out))
+    assert seen == [1, 2]
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("scale", [1e41, 1e-41])
+def test_features_diameter_outside_the_window_exits_2_naming_the_input(tmp_path, capsys, scale):
+    rng = np.random.default_rng(31)
+    path = tmp_path / "far.xyz"
+    save_cloud(PointCloud(rng.normal(size=(20, 3)) * scale), path)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("far.xyz,far\n")
+    for target in (path, manifest):
+        assert main(["features", str(target), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: cloud diameter "), err
+        assert "is outside [1e-40, 1e+40]" in err
 
 
 def degenerate_cloud(shape):
@@ -547,7 +600,8 @@ def test_spin_mismatched_codebook_dims(tmp_path, object_file, capsys):
     bad_cb.write_text("\n".join(text) + "\n")
     code = main(["spin", str(object_file), "--codebook", str(bad_cb), "--out", str(out)])
     assert code == 2
-    assert "dims" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {bad_cb}:1: codebook dims 121 do not match whole-image descriptors 496\n"
 
 
 @pytest.mark.parametrize(
@@ -565,8 +619,19 @@ def test_spin_bad_codebook_exits_2_naming_file_and_line(tmp_path, object_file, c
     assert f"bad.csv:{line}: " in capsys.readouterr().err
 
 
-def test_spin_requires_train_or_codebook(tmp_path, object_file):
-    assert main(["spin", str(object_file), "--out", str(tmp_path / "s")]) == 2
+def test_spin_requires_train_or_codebook(tmp_path, object_file, capsys, monkeypatch):
+    # exactly one codebook source, checked before any spin image is computed
+    def fail(*args, **kwargs):
+        raise AssertionError("spin images computed for a run that cannot encode them")
+
+    monkeypatch.setattr(lidarshape.spinimage, "spin_images", fail)
+    for flags, message in (
+        ([], "one of the arguments --train --codebook is required"),
+        (["--train", "--codebook", "cb.csv"], "not allowed with argument"),
+    ):
+        assert main(["spin", str(object_file), *flags, "--out", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", ["spin", "roi", "align"])

@@ -378,6 +378,14 @@ def test_histogram_normalizes_positive_mass():
     assert h.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bin_indices_clamps_infinities_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = Histogram1D.bin_indices([np.inf, -np.inf, 1e300, -1e300, 0.5], 0.0, 1.0, 4)
+    assert idx.tolist() == [3, 0, 3, 0, 2]
+    assert idx.dtype == np.int64
+
+
 def test_histogram_bin_boundary_goes_right():
     h = Histogram1D.from_values([0.25], 0.0, 1.0, 4)
     assert h.mass[1] == 1.0

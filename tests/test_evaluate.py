@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lidarshape.core import Histogram1D, PointCloud, emd_1d, save_cloud
 from lidarshape.evaluate import (
     KINDS,
+    MODES,
     STRATEGIES,
     DistanceMatrix,
     LabeledDataset,
@@ -76,6 +80,33 @@ def test_hsd_mode_close_to_exact():
     hs = object_4features(cloud, "hsd", cfg, ranges, OctreeConfig())
     for kind in KINDS:
         assert histogram_l1(ex[kind].histogram, hs[kind].histogram) <= 0.15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=arrays(
+        np.float64,
+        st.tuples(st.integers(4, 60), st.just(3)),
+        elements=st.integers(-1000, 1000).map(lambda v: v / 8),
+    ),
+    k=st.integers(-100, 100),
+    mode=st.sampled_from(MODES),
+)
+def test_features_of_a_cloud_scaled_by_a_power_of_two_are_bitwise_equal(points, k, mode):
+    # inside the diameter window, scaling changes no bit of any histogram,
+    # nor whether a cloud has too few representatives for HSD
+    cfg = SDConfig(sample_budget=2_000, seed=1)
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cloud in (PointCloud(points), PointCloud(points * 2.0**k)):
+            try:
+                feats = object_4features(cloud, mode, cfg, sd_ranges(cloud.bbox_diagonal()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append([feats[kind].histogram.mass.tobytes() for kind in KINDS])
+    assert outcomes[1] == outcomes[0]
 
 
 def test_too_few_points_rejected():

@@ -194,7 +194,10 @@ def test_degenerate_planar_cloud_builds():
         root = build_octree(PointCloud(pts), OctreeConfig(leaf_capacity=10))
         assert root.count == len(pts)
         ext = root.hi - root.lo
-        assert ext[0] == ext[1] == ext[2] > np.ptp(pts, axis=0).max()
+        # a cube up to the rounding of its corners, center -+ half a side
+        corner_ulp = np.spacing(np.abs(np.r_[root.lo, root.hi]).max())
+        assert ext.max() - ext.min() <= 4 * corner_ulp
+        assert ext.min() > np.ptp(pts, axis=0).max()
         assert _inside(pts, root, 0.0)
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -112,11 +114,13 @@ def stack(tables):
 
 def assert_refine_matches_oracle(candidates, feats, per_tile):
     model = train_class_model(feats.vectors()[candidates])
-    rules = [model.with_k_nearest(k) for k in (0, 1, 2, len(candidates) + 1)]
-    rules += [model.with_threshold(tau) for tau in (0.0, 0.5, 1.0, 2.0, np.inf)]
+    rules = [{"k_nearest": k} for k in (0, 1, 2, len(candidates) + 1)]
+    rules += [{"threshold": tau} for tau in (0.0, 0.5, 1.0, 2.0, np.inf)]
     for rule in rules:
-        got = refine_roi(candidates, feats, rule)
-        assert got.tolist() == refine_roi_per_tile(candidates.tolist(), per_tile, rule)
+        got = refine_roi(candidates, feats, model, **rule)
+        assert got.tolist() == refine_roi_per_tile(candidates.tolist(), per_tile, model, **rule)
+        # without a model, refine_roi trains the same one on the candidates
+        assert refine_roi(candidates, feats, **rule).tolist() == got.tolist()
 
 
 def assert_table_matches_oracles(scene, tile_size, min_points=20, height_range=(0.3, 10.0)):
@@ -279,30 +283,29 @@ def test_center_matches_brute_force_mean():
 def test_refine_k_nearest_exact_count():
     rng = np.random.default_rng(29)
     feats = stack([tile_from_vector(30 + i, 1.0 + 0.1 * i, rng) for i in range(6)])
-    model = train_class_model(feats.vectors()).with_k_nearest(3)
-    kept = refine_roi(np.arange(6), feats, model)
+    model = train_class_model(feats.vectors())
+    kept = refine_roi(np.arange(6), feats, model, k_nearest=3)
     assert len(kept) == 3
-    big_k = model.with_k_nearest(100)
-    assert refine_roi(np.arange(6), feats, big_k).tolist() == list(range(6))
+    assert refine_roi(np.arange(6), feats, model, k_nearest=100).tolist() == list(range(6))
 
 
 def test_refine_threshold_zero_keeps_only_center():
     rng = np.random.default_rng(31)
     a = tile_from_vector(30, 1.0, rng)
     b = tile_from_vector(60, 3.0, rng)
-    model = train_class_model(a.vectors()).with_threshold(0.0)
-    assert refine_roi(np.array([0, 1]), stack([a, b]), model).tolist() == [0]
+    model = train_class_model(a.vectors())
+    assert refine_roi(np.array([0, 1]), stack([a, b]), model, threshold=0.0).tolist() == [0]
 
 
 def test_refine_separates_planted_classes():
     """Model trained on short wide objects keeps them and rejects most tall
-    thin ones at the default threshold."""
+    thin ones at a threshold of 2.0."""
     rng = np.random.default_rng(37)
     class_a = [tile_from_vector(int(rng.integers(35, 45)), rng.uniform(1.0, 1.4), rng) for _ in range(30)]
     class_b = [tile_from_vector(int(rng.integers(100, 140)), rng.uniform(4.5, 6.0), rng) for _ in range(30)]
-    model = train_class_model(stack(class_a).vectors())  # default threshold 2.0
+    model = train_class_model(stack(class_a).vectors())
 
-    kept = refine_roi(np.arange(60), stack(class_a + class_b), model)
+    kept = refine_roi(np.arange(60), stack(class_a + class_b), model, threshold=2.0)
     kept_a = np.count_nonzero(kept < 30)
     kept_b = np.count_nonzero(kept >= 30)
     assert kept_a >= 0.95 * 30
@@ -314,8 +317,32 @@ def test_refine_output_subset_of_candidates():
     feats = stack([tile_from_vector(30, 1.0, rng) for _ in range(5)])
     model = train_class_model(feats.vectors())
     candidates = np.arange(3)
-    kept = refine_roi(candidates, feats, model)
+    kept = refine_roi(candidates, feats, model, threshold=2.0)
     assert set(kept.tolist()) <= set(candidates.tolist())
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ({}, "exactly one of k_nearest and threshold"),
+        ({"k_nearest": 2, "threshold": 1.0}, "exactly one of k_nearest and threshold"),
+        ({"k_nearest": -1}, "k nearest must be non-negative, got -1"),
+        ({"threshold": math.nan}, "distance threshold must be a number, got nan"),
+    ],
+)
+@pytest.mark.parametrize("candidates", [np.arange(3), np.arange(0)], ids=["some", "none"])
+def test_refine_rejects_a_bad_rule_with_or_without_candidates(rule, message, candidates):
+    rng = np.random.default_rng(43)
+    feats = stack([tile_from_vector(30, 1.0, rng) for _ in range(3)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refine_roi(candidates, feats, **rule)
+
+
+def test_refine_without_candidates_keeps_none():
+    rng = np.random.default_rng(47)
+    feats = stack([tile_from_vector(30, 1.0, rng) for _ in range(3)])
+    for rule in ({"k_nearest": 2}, {"threshold": np.inf}):
+        assert refine_roi(np.arange(0), feats, **rule).tolist() == []
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,24 @@ def test_vote_point_mass_lands_mid_bin():
     assert out.sum() == 2.0
 
 
+def test_point_votes_bin_as_bin_indices():
+    h = Histogram1D(-1.0, 3.0, np.zeros(8))
+    mu = np.array([np.inf, -np.inf, 1e300, -2.0, 0.0, 2.99])
+    with np.errstate(all="raise"):
+        out = _gaussian_bin_mass(h.edges(), mu, np.zeros(mu.size), np.ones(mu.size))
+    want = np.bincount(Histogram1D.bin_indices(mu, h.lo, h.hi, h.bins), minlength=h.bins)
+    assert out.tolist() == want.tolist() == [2, 0, 1, 0, 0, 0, 0, 3]
+
+
+def test_sd_ranges_window():
+    assert sd_ranges(0.0) == sd_ranges(1e-12)  # all points equal
+    for d in shapedist.DIAMETER_WINDOW:
+        assert sd_ranges(d)["D2"] == (0.0, d)
+    for d in (1e-41, 1e41, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cloud diameter .* is outside"):
+            sd_ranges(d)
+
+
 def test_vote_three_sigma_mass_coverage():
     h = Histogram1D(0.0, 1.0, np.zeros(100))
     sigma = 0.01

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lidarshape import spinimage
-from lidarshape.core import PointCloud, Transform4DOF, apply_transform
+from lidarshape.core import ParseError, PointCloud, Transform4DOF, apply_transform
 from lidarshape.spinimage import (
     CODE_COUNT,
+    Codebook,
     PATCH_11X11,
     SPIN_COLS,
     SPIN_ROWS,
@@ -352,17 +354,30 @@ def test_patch_encode_pools_to_30_coefficients():
 
 
 def test_encode_dimension_mismatch():
+    # a codebook whose dims do not fit its kind cannot be built, so never encodes
     rng = np.random.default_rng(41)
     cb = train_codebook(random_images(rng, 40), PATCH_11X11)
-    images = random_images(rng, 1)
     whole_cb = train_codebook(random_images(rng, 40), WHOLE_IMAGE)
-    mismatched = whole_cb.__class__(
-        kind=WHOLE_IMAGE, mean=cb.mean, basis=cb.basis, eigenvalues=None
-    )
-    with pytest.raises(ValueError, match="dims"):
-        encode_all(images, mismatched)
-    with pytest.raises(ValueError, match="dims"):
-        encode_all(images, replace(whole_cb, kind=PATCH_11X11))
+    with pytest.raises(ValueError, match="codebook dims 121 do not match whole-image descriptors 496"):
+        Codebook(kind=WHOLE_IMAGE, mean=cb.mean, basis=cb.basis)
+    with pytest.raises(ValueError, match="codebook dims 496 do not match patch-11x11 descriptors 121"):
+        replace(whole_cb, kind=PATCH_11X11)
+    with pytest.raises(ValueError, match="unknown codebook kind 'bogus'"):
+        replace(whole_cb, kind="bogus")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("whole-image,3,1", "codebook dims 3 do not match whole-image descriptors 496"),
+        ("bogus,3,1", "unknown codebook kind 'bogus'"),
+    ],
+)
+def test_load_codebook_names_a_kind_or_dims_fault_at_line_1(tmp_path, header, message):
+    path = tmp_path / "cb.csv"
+    path.write_text(f"{header}\n0,0,0\n1,0,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: {message}")):
+        load_codebook(path)
 
 
 # ---------------------------------------------------------------------------

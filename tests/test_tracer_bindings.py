@@ -5,8 +5,10 @@ function it times, and leaves the package as it found it.
 module, so renaming or removing one of those functions breaks the benchmark
 without failing any other test."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -55,3 +57,37 @@ def test_every_traced_name_resolves_and_uninstall_restores_it(monkeypatch):
     after = _bindings(names)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def _argument_reads(tree, function_name):
+    """Names a counter function reads as `args["name"]`, where `args` is its
+    second parameter."""
+    fn = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function_name
+    )
+    bound = fn.args.args[1].arg
+    return {
+        node.slice.value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == bound
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_every_counter_reads_parameters_its_function_has(monkeypatch):
+    # a counter binds the call's arguments by name, so renaming a parameter it
+    # reads breaks only the traced run
+    spans = _load_spans(monkeypatch)
+    tree = ast.parse(SPANS.read_text())
+    layer_of = {name: layer for layer, names in spans.LAYERS.items() for name in names}
+    checked = 0
+    for name, counter in spans.COUNTERS.items():
+        home = importlib.import_module(f"lidarshape.{layer_of[name]}")
+        params = inspect.signature(getattr(home, name)).parameters
+        reads = _argument_reads(tree, counter.__name__)
+        assert reads <= params.keys(), (name, sorted(reads - params.keys()))
+        checked += len(reads)
+    assert checked >= 8  # build_octree, hsd and exact_sd read 8 arguments between them
