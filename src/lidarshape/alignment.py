@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, emd_1d
-from .shapedist import SDConfig, exact_sd
+from .shapedist import SDConfig, exact_sd, sd_ranges
 
 FEATURE_NAMES = ("height", "radial", "d2", "slab", "plane")
 
@@ -45,18 +45,22 @@ def feature_ranges_for_group(
 
     Every bound is derived from rotation-invariant quantities (z extent and
     planar radius about the centroid, never the axis-aligned bbox), so the
-    ranges cannot drift when objects are moved by 4-DOF transforms.
+    ranges cannot drift when objects are moved by 4-DOF transforms. Each
+    bound is at least 1e-12; a group diameter `sd_ranges` refuses raises.
     """
-    h_max = r_max = d_max = 1e-12
+    h_max = r_max = d_max = 0.0
     for obj in objects:
         pts = obj.points
         h = float(pts[:, 2].max() - pts[:, 2].min())
         h_max = max(h_max, h)
         centroid = pts[:, :2].mean(axis=0)
-        radial = np.linalg.norm(pts[:, :2] - centroid, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing radius is inf, outside the window
+            radial = np.linalg.norm(pts[:, :2] - centroid, axis=1)
         r = float(radial.max())
         r_max = max(r_max, r)
         d_max = max(d_max, math.hypot(2.0 * r, h))  # bounds any pairwise distance
+    sd_ranges(d_max)  # owns the diameter window: raises outside it
+    h_max, r_max, d_max = (max(x, 1e-12) for x in (h_max, r_max, d_max))
     return {
         "height": (0.0, h_max),
         "radial": (0.0, r_max),

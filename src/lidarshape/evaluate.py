@@ -70,10 +70,6 @@ def load_manifest(path) -> LabeledDataset:
     return LabeledDataset(tuple(pairs))
 
 
-def dataset_max_diameter(ds: LabeledDataset) -> float:
-    return max(cloud.bbox_diagonal() for cloud, _ in ds.objects)
-
-
 def object_4features(
     cloud: PointCloud,
     mode: str,
@@ -117,7 +113,7 @@ def dataset_features(
     maximum diameter. Every object uses the same sampling seed, so duplicate
     objects always map to identical features. A ValueError names the object
     by index and category."""
-    ranges = sd_ranges(dataset_max_diameter(ds))
+    ranges = sd_ranges(max(cloud.bbox_diagonal() for cloud, _ in ds.objects))
 
     def one(item):
         i, (cloud, category) = item

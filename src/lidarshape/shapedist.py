@@ -16,10 +16,10 @@ vote stands in for `prod(weights)` point tuples.
 
 Both paths measure through one per-kind kernel, `measure_many`, which
 returns the values and, for HSD, the per-slot gradient magnitudes from the
-same edge vectors, cross product and norms. They measure their tuple table
-`VOTE_BLOCK` rows at a time, so a call's temporaries stay one block in size
-whatever the sample budget (at most `MAX_SAMPLE_BUDGET`). HSD's Gaussian
-votes are quantized; `_gaussian_bin_mass` states how, and its error bound.
+same edge vectors, cross product and norms of (3, B) coordinate rows. They
+measure `VOTE_BLOCK` tuples at a time, so a call's temporaries stay one block
+in size whatever the sample budget (at most `MAX_SAMPLE_BUDGET`). HSD's
+Gaussian votes are quantized; `_gaussian_bin_mass` states how, and its error bound.
 """
 
 from __future__ import annotations
@@ -107,12 +107,23 @@ def _check_kind(kind: str) -> int:
     return ARITY[kind]
 
 
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Column norms of (3, B) rows, summed as `np.linalg.norm(axis=1)` sums (N, 3)."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column cross products of (3, B) rows, by `np.cross`'s component formulas."""
+    x, y, z = a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+    return np.stack((x, y, z))
+
+
 def measure_many(
     kind: str, parts: Sequence[np.ndarray], gradients: bool = False
 ) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
-    """Measurement over aligned (N, 3) arrays, one per tuple slot, and with
-    `gradients` the per-slot gradient magnitudes, both from one set of
-    intermediates (edge vectors, cross product, edge norms, semiperimeter).
+    """Measurement over aligned (3, B) coordinate rows, one array per tuple
+    slot, and with `gradients` the per-slot gradient magnitudes, both from one
+    set of intermediates (edge vectors, cross product, edge norms, semiperimeter).
 
     Degenerate configurations (coincident points, collinear triangles,
     coplanar tetrahedra) leave NaN/inf magnitudes; `moment_votes` takes
@@ -123,7 +134,7 @@ def measure_many(
         raise ValueError(f"{kind} takes {arity} point arrays, got {len(parts)}")
     u = parts[1] - parts[0]
     if kind == "D2":
-        d = np.linalg.norm(u, axis=1)
+        d = _norm(u)
         if not gradients:
             return d, None
         g = np.where(d > 0, 1.0, np.nan)
@@ -131,41 +142,37 @@ def measure_many(
     v = parts[2] - parts[0]
     if kind == "T3":
         w = parts[3] - parts[0]
-        vw = np.cross(v, w)
-        det = np.einsum("ij,ij->i", u, vw)
+        vw = _cross(v, w)
+        # einsum orders each row's three products by the row layout: give it (B, 3) rows
+        det = np.einsum("ij,ij->i", u.T.copy(), vw.T.copy())
         values = np.abs(det) / 6.0
         if not gradients:
             return values, None
-        g1, g2, g3 = vw / 6.0, np.cross(w, u) / 6.0, np.cross(u, v) / 6.0
+        g1, g2, g3 = vw / 6.0, _cross(w, u) / 6.0, _cross(u, v) / 6.0
         grads = (-(g1 + g2 + g3), g1, g2, g3)
         # the volume gradient is undefined only where the determinant vanishes
-        return values, [np.where(det == 0, np.nan, np.linalg.norm(g, axis=1)) for g in grads]
-    uv = np.cross(u, v)
+        return values, [np.where(det == 0, np.nan, _norm(g)) for g in grads]
+    uv = _cross(u, v)
     if kind == "A3":
-        values = 0.5 * np.linalg.norm(uv, axis=1)
+        values = 0.5 * _norm(uv)
         if not gradients:
             return values, None
         # |grad at a vertex| = half the opposite side length
-        mags = [np.linalg.norm(e, axis=1) for e in (parts[2] - parts[1], v, u)]
-        return values, [0.5 * m for m in mags]
+        return values, [0.5 * _norm(e) for e in (parts[2] - parts[1], v, u)]
     # R3 = area / semiperimeter; quotient rule on analytic area and edge grads
     e = parts[2] - parts[1]
-    wnorm, a, b, c = (np.linalg.norm(x, axis=1) for x in (uv, u, v, e))
+    wnorm, a, b, c = (_norm(x) for x in (uv, u, v, e))
     s = 0.5 * (a + b + c)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 0.5 * wnorm / s
         values = np.where(s > 0, r, 0.0)
         if not gradients:
             return values, None
-        grad_a1 = np.cross(v, uv) / (2.0 * wnorm)[:, None]
-        grad_a2 = np.cross(uv, u) / (2.0 * wnorm)[:, None]
+        grad_a1, grad_a2 = _cross(v, uv) / (2.0 * wnorm), _cross(uv, u) / (2.0 * wnorm)
         grad_a0 = -(grad_a1 + grad_a2)
-        uhat, vhat, what = u / a[:, None], v / b[:, None], e / c[:, None]
+        uhat, vhat, what = u / a, v / b, e / c
         grad_s = (-0.5 * (uhat + vhat), 0.5 * (uhat - what), 0.5 * (vhat + what))
-        mags = [
-            np.linalg.norm((ga - r[:, None] * gs) / s[:, None], axis=1)
-            for ga, gs in zip((grad_a0, grad_a1, grad_a2), grad_s)
-        ]
+        mags = [_norm((ga - r * gs) / s) for ga, gs in zip((grad_a0, grad_a1, grad_a2), grad_s)]
     return values, mags
 
 
@@ -182,7 +189,7 @@ def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> np.ndarray:
     moved[0, step, :, slot, axis] += h
     moved[1, step, :, slot, axis] -= h
     flat = moved.reshape(-1, arity, 3)
-    m = measure_many(kind, [flat[:, i] for i in range(arity)])[0].reshape(2, arity, 3, rows)
+    m = measure_many(kind, [flat[:, i].T for i in range(arity)])[0].reshape(2, arity, 3, rows)
     grad = ((m[0] - m[1]) / (2.0 * h)).transpose(2, 0, 1)
     return np.array([[np.linalg.norm(g) for g in row] for row in grad])
 
@@ -200,11 +207,11 @@ def moment_votes(
     block size does not change the result.
     """
     arity = _check_kind(kind)
-    mu = np.empty(idx.shape[0])
-    sigma2 = np.zeros(idx.shape[0])
+    cols = np.ascontiguousarray(positions.T)
+    mu, sigma2 = np.empty(idx.shape[0]), np.zeros(idx.shape[0])
     for start in range(0, idx.shape[0], VOTE_BLOCK):
         block = idx[start : start + VOTE_BLOCK]
-        parts = [positions[block[:, i]] for i in range(arity)]
+        parts = [np.take(cols, block[:, i], axis=1) for i in range(arity)]
         mu[start : start + VOTE_BLOCK], mags = measure_many(kind, parts, gradients=True)
         s2 = sigma2[start : start + VOTE_BLOCK]
         bad = np.zeros(block.shape[0], dtype=bool)
@@ -213,7 +220,7 @@ def moment_votes(
             bad |= ~np.isfinite(g)
         rows = np.flatnonzero(bad)
         if rows.size:
-            cd = _central_difference_mags(kind, np.stack([p[rows] for p in parts], axis=1))
+            cd = _central_difference_mags(kind, cols[:, block[rows]].transpose(1, 2, 0))
             terms = np.where(np.isfinite(cd), scatters[block[rows]] * cd * cd, 0.0)
             # numpy adds fewer than 8 terms left to right, in slot order
             s2[rows] = terms.sum(axis=1)
@@ -378,10 +385,11 @@ def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeat
         raise ValueError(f"{kind} needs at least {arity} points, cloud has {n}")
     lo, hi = _resolve_range(cfg, kind, cloud.bbox_diagonal())
     idx, _ = _tuple_table(n, arity, cfg)
+    cols = np.ascontiguousarray(cloud.points.T)
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for start in range(0, idx.shape[0], VOTE_BLOCK):
         block = idx[start : start + VOTE_BLOCK]
-        values, _ = measure_many(kind, [cloud.points[block[:, i]] for i in range(arity)])
+        values, _ = measure_many(kind, [np.take(cols, block[:, i], axis=1) for i in range(arity)])
         counts += np.bincount(Histogram1D.bin_indices(values, lo, hi, cfg.bins), minlength=cfg.bins)
     hist = Histogram1D(lo, hi, counts.astype(np.float64)).normalized()
     return SDFeature(kind, hist)
@@ -416,7 +424,7 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     lo, hi = _resolve_range(cfg, kind, diam)
 
     idx, enumerated = _tuple_table(n_reps, arity, cfg, p=weights / weights.sum())
-    vote_w = np.prod(weights[idx], axis=1) if enumerated else np.ones(idx.shape[0])
+    vote_w = math.prod(weights[c] for c in idx.T) if enumerated else np.ones(idx.shape[0])
 
     mu, sigma2 = moment_votes(kind, positions, scatters, idx)
     edges = np.linspace(lo, hi, cfg.bins + 1)

@@ -50,7 +50,7 @@ class Codebook:
 
     eigenvalues holds the full descending spectrum when the codebook was
     trained in-process; it is absent after loading from file. An unknown
-    kind, or dims other than the kind's descriptor size, raises.
+    kind, dims other than the kind's descriptor size, or other shapes raise.
     """
 
     kind: str
@@ -64,6 +64,8 @@ class Codebook:
         dims, want = self.basis.shape[-1], DESCRIPTOR_DIMS[self.kind]
         if dims != want:
             raise ValueError(f"codebook dims {dims} do not match {self.kind} descriptors {want}")
+        if self.basis.shape != (CODE_COUNT, dims) or self.mean.shape != (dims,):
+            raise ValueError(f"codebook needs a ({CODE_COUNT}, {dims}) basis and a ({dims},) mean")
 
     @property
     def dims(self) -> int:

@@ -16,8 +16,9 @@ error bound stated in `shapedist._gaussian_bin_mass`.
 
 `measure`, `measure_many`, `gradient_magnitudes` and
 `_central_difference_mags` are the separate value, gradient and per-row
-central-difference chains the library measured with before its one kernel;
-the kernel must match them bit for bit. `iter_nodes` walks an octree depth
+central-difference chains the library measured with before its one kernel,
+on (N, 3) slot arrays; the kernel, on the slots' (3, N) coordinate rows,
+must match them bit for bit. `iter_nodes` walks an octree depth
 first for the tree audits.
 """
 

@@ -108,8 +108,8 @@ def test_hsd_scalability_100k_points():
 
 
 def test_analytic_measurements():
-    def measure(kind, pts):  # one tuple through the kernel, as one-row arrays
-        return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[None] for p in pts])[0][0])
+    def measure(kind, pts):  # one tuple through the kernel, as one-column (3, 1) arrays
+        return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[:, None] for p in pts])[0][0])
 
     r3 = measure("R3", [(0, 0, 0), (2, 0, 0), (1, math.sqrt(3), 0)])
     t3 = measure("T3", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])

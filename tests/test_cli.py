@@ -521,6 +521,22 @@ def test_align_degenerate_objects_exit_1(tmp_path, capsys):
     assert "internal error: degenerate correspondences" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_align_diameter_outside_the_window_exits_2_naming_the_manifest(tmp_path, capsys, scale):
+    # 1e200 overflows the radial norms, 1e-200 underflows them to 0
+    rng = np.random.default_rng(37)
+    manifest = tmp_path / "m.csv"
+    lines = []
+    for i in range(3):
+        save_cloud(PointCloud(make_object("lshape", 60, rng).points * scale), tmp_path / f"l{i}.xyz")
+        lines.append(f"l{i}.xyz,lshape")
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["align", str(manifest), "--out", str(tmp_path / "align")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: cloud diameter "), err
+    assert "is outside [1e-40, 1e+40]" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -617,6 +633,17 @@ def test_spin_bad_codebook_exits_2_naming_file_and_line(tmp_path, object_file, c
     code = main(["spin", str(object_file), "--codebook", str(bad_cb), "--out", str(tmp_path / "s")])
     assert code == 2
     assert f"bad.csv:{line}: " in capsys.readouterr().err
+
+
+def test_spin_codebook_of_too_few_basis_rows_exits_2(tmp_path, object_file, capsys):
+    # a consistent header and rows, but 3 basis rows where encoding writes 30 codes
+    bad_cb = tmp_path / "short.csv"
+    bad_cb.write_text("whole-image,496,3\n" + ("0," * 495 + "0\n") * 4)
+    code = main(["spin", str(object_file), "--codebook", str(bad_cb), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad_cb}:1: codebook needs a (30, 496) basis and a (496,) mean\n"
+    assert not (tmp_path / "s" / "codes.csv").exists()
 
 
 def test_spin_requires_train_or_codebook(tmp_path, object_file, capsys, monkeypatch):

@@ -50,8 +50,8 @@ from _oracles import (
 
 
 def measure(kind, pts):
-    """The kernel's value for one tuple, passed as one-row arrays."""
-    return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[None] for p in pts])[0][0])
+    """The kernel's value for one tuple, passed as one-column (3, 1) arrays."""
+    return float(measure_many(kind, [np.asarray(p, dtype=np.float64)[:, None] for p in pts])[0][0])
 
 
 def test_d2_345_triangle():
@@ -108,14 +108,15 @@ def test_measure_rigid_invariance():
 @settings(max_examples=40, deadline=None)
 @given(
     unit=arrays(np.float64, (10, 3), elements=st.floats(-1.0, 1.0)),
-    scale=st.floats(1e-3, 1e3),
+    scale=st.floats(1e-30, 1e30),
     rounded=st.booleans(),
     idx=arrays(np.int64, (30, 4), elements=st.integers(0, 9)),
 )
 def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx):
-    """Values, gradient magnitudes and batched central differences are
-    bitwise the old `measure_many`, `gradient_magnitudes` and per-row
-    `_central_difference_mags`, degenerate rows included."""
+    """Values, gradient magnitudes and batched central differences on (3, N)
+    coordinate rows are bitwise the old `measure_many`, `gradient_magnitudes`
+    and per-row `_central_difference_mags` on the (N, 3) slots, degenerate
+    rows included, at scales from 1e-30 to 1e30."""
     positions = np.round(unit * scale) if rounded else unit * scale
     # rep 1 on rep 0, rep 3 on the line through reps 0 and 2, rep 4 in the
     # plane of reps 0, 2 and 5: exactly so for integer coordinates
@@ -123,9 +124,10 @@ def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx):
     positions[3] = 2.0 * positions[2] - positions[0]
     positions[4] = positions[2] + positions[5] - positions[0]
     parts = [positions[idx[:, i]] for i in range(ARITY[kind])]
-    values, mags = measure_many(kind, parts, gradients=True)
+    rows = [np.ascontiguousarray(p.T) for p in parts]
+    values, mags = measure_many(kind, rows, gradients=True)
     assert values.tobytes() == _oracles.measure_many(kind, parts).tobytes()
-    assert measure_many(kind, parts)[0].tobytes() == values.tobytes()
+    assert measure_many(kind, rows)[0].tobytes() == values.tobytes()
     old = _oracles.gradient_magnitudes(kind, parts)
     assert [m.tobytes() for m in mags] == [m.tobytes() for m in old]
     tuple_pts = np.stack(parts, axis=1)
@@ -590,8 +592,9 @@ def test_hsd_does_not_depend_on_block(monkeypatch, block):
 
 
 def test_hsd_default_budget_peak_memory():
-    # the R3 gradients take ~520 B per tuple; 200k tuples at once peaked at
-    # ~104 MB, one block at a time stays near the ~25 MB of tuple tables
+    # the R3 slot gathers and gradients take ~505 B per tuple (tracemalloc
+    # over one 8192-tuple block of the (3, B) row kernel), so 200k tuples at
+    # once would peak near 100 MB; one block at a time peaks at ~18 MB
     cloud = make_object("cylinder", 300, np.random.default_rng(1))
     root = build_octree(cloud)
     hsd(root, "D2", 3, SDConfig())  # warm-up: once-per-process work stays outside the trace
