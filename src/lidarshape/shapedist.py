@@ -126,8 +126,9 @@ def measure_many(
     set of intermediates (edge vectors, cross product, edge norms, semiperimeter).
 
     Degenerate configurations (coincident points, collinear triangles,
-    coplanar tetrahedra) leave NaN/inf magnitudes; `moment_votes` takes
-    central differences for those rows.
+    coplanar tetrahedra) leave NaN/inf magnitudes for D2, R3 and T3: there the
+    measure has a |.| kink, so it has no gradient to propagate. A3's
+    magnitudes, half the side lengths, stay finite on a collinear triangle.
     """
     arity = _check_kind(kind)
     if len(parts) != arity:
@@ -176,35 +177,17 @@ def measure_many(
     return values, mags
 
 
-def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> np.ndarray:
-    """Numeric gradient magnitudes (R, arity) of R degenerate tuples
-    (R, arity, 3): every +-h step of every row goes through one kernel call.
-    Each magnitude is the 1-D norm (a dot product) of its own 3-vector; a
-    batched `axis` norm rounds differently."""
-    rows, arity = tuple_pts.shape[:2]
-    h = 1e-6 * np.maximum(1.0, np.abs(tuple_pts).max(axis=(1, 2)))
-    moved = np.broadcast_to(tuple_pts, (2, 3 * arity) + tuple_pts.shape).copy()
-    step = np.arange(3 * arity)
-    slot, axis = np.divmod(step, 3)
-    moved[0, step, :, slot, axis] += h
-    moved[1, step, :, slot, axis] -= h
-    flat = moved.reshape(-1, arity, 3)
-    m = measure_many(kind, [flat[:, i].T for i in range(arity)])[0].reshape(2, arity, 3, rows)
-    grad = ((m[0] - m[1]) / (2.0 * h)).transpose(2, 0, 1)
-    return np.array([[np.linalg.norm(g) for g in row] for row in grad])
-
-
 def moment_votes(
     kind: str, positions: np.ndarray, scatters: np.ndarray, idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gaussian vote moments for rep tuples `idx` (N, arity) into `positions`.
 
     mu is the measurement at the rep positions; sigma2 propagates each rep's
-    isotropic scatter through the measurement gradient (delta method). Rows
-    whose analytic gradient is undefined (coincident or collinear reps) take
-    central differences instead, and terms that stay non-finite are dropped.
-    Rows are measured `VOTE_BLOCK` at a time; every step is per row, so the
-    block size does not change the result.
+    isotropic scatter through the measurement gradient (delta method). A slot
+    whose magnitude is not finite (a degenerate D2, R3 or T3 tuple) adds 0, so
+    such a tuple votes a point mass at its measurement; A3's collinear votes
+    keep their spread. Rows are measured `VOTE_BLOCK` at a time; every step is
+    per row, so the block size does not change the result.
     """
     arity = _check_kind(kind)
     cols = np.ascontiguousarray(positions.T)
@@ -214,16 +197,9 @@ def moment_votes(
         parts = [np.take(cols, block[:, i], axis=1) for i in range(arity)]
         mu[start : start + VOTE_BLOCK], mags = measure_many(kind, parts, gradients=True)
         s2 = sigma2[start : start + VOTE_BLOCK]
-        bad = np.zeros(block.shape[0], dtype=bool)
         for slot, g in enumerate(mags):
-            s2 += scatters[block[:, slot]] * np.square(g)
-            bad |= ~np.isfinite(g)
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            cd = _central_difference_mags(kind, cols[:, block[rows]].transpose(1, 2, 0))
-            terms = np.where(np.isfinite(cd), scatters[block[rows]] * cd * cd, 0.0)
-            # numpy adds fewer than 8 terms left to right, in slot order
-            s2[rows] = terms.sum(axis=1)
+            # zeroed before squaring, so a zero scatter never meets an inf
+            s2 += scatters[block[:, slot]] * np.square(np.where(np.isfinite(g), g, 0.0))
     return mu, sigma2
 
 

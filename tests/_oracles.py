@@ -14,12 +14,11 @@ voting the library used before quantized voting: every vote evaluates the
 CDF over its own window, and the quantized votes must match it within the
 error bound stated in `shapedist._gaussian_bin_mass`.
 
-`measure`, `measure_many`, `gradient_magnitudes` and
-`_central_difference_mags` are the separate value, gradient and per-row
-central-difference chains the library measured with before its one kernel,
-on (N, 3) slot arrays; the kernel, on the slots' (3, N) coordinate rows,
-must match them bit for bit. `iter_nodes` walks an octree depth
-first for the tree audits.
+`measure`, `measure_many` and `gradient_magnitudes` are the separate value
+and gradient chains the library measured with before its one kernel, on
+(N, 3) slot arrays; the kernel, on the slots' (3, N) coordinate rows, must
+match them bit for bit. `iter_nodes` walks an octree depth first for the
+tree audits.
 """
 
 import itertools
@@ -345,8 +344,9 @@ def measure_many(kind: str, parts: Sequence[np.ndarray]) -> np.ndarray:
 def gradient_magnitudes(kind: str, parts: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Per-slot gradient magnitude of the measurement, vectorized over tuples.
 
-    Degenerate configurations (coincident points, collinear triangles) leave
-    NaN/inf entries; callers fall back to central differences for those rows.
+    Degenerate configurations (coincident points, collinear triangles,
+    coplanar tetrahedra) leave NaN/inf entries for D2, R3 and T3; vote
+    moments count those slots as 0.
     """
     arity = _check_kind(kind)
     if kind == "D2":
@@ -402,27 +402,10 @@ def gradient_magnitudes(kind: str, parts: Sequence[np.ndarray]) -> List[np.ndarr
     return out
 
 
-def _central_difference_mags(kind: str, tuple_pts: np.ndarray) -> List[float]:
-    """Numeric gradient magnitudes for one degenerate tuple."""
-    arity = tuple_pts.shape[0]
-    scale = max(1.0, float(np.abs(tuple_pts).max()))
-    h = 1e-6 * scale
-    mags = []
-    for i in range(arity):
-        grad = np.zeros(3)
-        for axis in range(3):
-            plus = tuple_pts.copy()
-            minus = tuple_pts.copy()
-            plus[i, axis] += h
-            minus[i, axis] -= h
-            grad[axis] = (measure(kind, plus) - measure(kind, minus)) / (2.0 * h)
-        mags.append(float(np.linalg.norm(grad)))
-    return mags
-
-
 def moment_votes_one_shot(kind, positions, scatters, idx):
     """Gaussian vote moments with every tuple's temporaries built at once, as
-    `shapedist.moment_votes` computed them before it worked in blocks."""
+    `shapedist.moment_votes` computed them before it worked in blocks; a slot
+    whose gradient magnitude is not finite adds 0."""
     from lidarshape.shapedist import ARITY
 
     arity = ARITY[kind]
@@ -430,16 +413,8 @@ def moment_votes_one_shot(kind, positions, scatters, idx):
     mu = measure_many(kind, parts)
     mags = gradient_magnitudes(kind, parts)
     sigma2 = np.zeros(idx.shape[0])
-    bad = np.zeros(idx.shape[0], dtype=bool)
     for slot, g in enumerate(mags):
-        sigma2 += scatters[idx[:, slot]] * np.square(g)
-        bad |= ~np.isfinite(g)
-    for row in np.nonzero(bad)[0]:
-        tuple_pts = np.stack([parts[i][row] for i in range(arity)])
-        cd = _central_difference_mags(kind, tuple_pts)
-        sigma2[row] = sum(
-            scatters[idx[row, slot]] * m * m for slot, m in enumerate(cd) if math.isfinite(m)
-        )
+        sigma2 += scatters[idx[:, slot]] * np.square(np.where(np.isfinite(g), g, 0.0))
     return mu, sigma2
 
 

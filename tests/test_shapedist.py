@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -20,7 +21,6 @@ from lidarshape.shapedist import (
     SDConfig,
     SDFeature,
     _all_combinations,
-    _central_difference_mags,
     _gaussian_bin_mass,
     _normal_cdf,
     _sample_tuples,
@@ -111,12 +111,14 @@ def test_measure_rigid_invariance():
     scale=st.floats(1e-30, 1e30),
     rounded=st.booleans(),
     idx=arrays(np.int64, (30, 4), elements=st.integers(0, 9)),
+    spread=arrays(np.float64, 10, elements=st.floats(0.0, 1.0)),
 )
-def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx):
-    """Values, gradient magnitudes and batched central differences on (3, N)
-    coordinate rows are bitwise the old `measure_many`, `gradient_magnitudes`
-    and per-row `_central_difference_mags` on the (N, 3) slots, degenerate
-    rows included, at scales from 1e-30 to 1e30."""
+def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx, spread):
+    """Values and gradient magnitudes on (3, N) coordinate rows are bitwise
+    the old `measure_many` and `gradient_magnitudes` on the (N, 3) slots, and
+    vote moments bitwise the one-shot ones, degenerate rows included, at
+    scales from 1e-30 to 1e30. Rows with a non-finite magnitude (D2, R3, T3)
+    vote sigma2 = 0; A3's magnitudes stay finite."""
     positions = np.round(unit * scale) if rounded else unit * scale
     # rep 1 on rep 0, rep 3 on the line through reps 0 and 2, rep 4 in the
     # plane of reps 0, 2 and 5: exactly so for integer coordinates
@@ -130,9 +132,16 @@ def test_kernel_matches_old_chains_property(kind, unit, scale, rounded, idx):
     assert measure_many(kind, rows)[0].tobytes() == values.tobytes()
     old = _oracles.gradient_magnitudes(kind, parts)
     assert [m.tobytes() for m in mags] == [m.tobytes() for m in old]
-    tuple_pts = np.stack(parts, axis=1)
-    ref = np.array([_oracles._central_difference_mags(kind, t) for t in tuple_pts])
-    assert _central_difference_mags(kind, tuple_pts).tobytes() == ref.tobytes()
+    scatters = spread * (scale * scale)  # zeros among them
+    tuples = idx[:, : ARITY[kind]]
+    mu, sigma2 = moment_votes(kind, positions, scatters, tuples)
+    mu_ref, sigma2_ref = moment_votes_one_shot(kind, positions, scatters, tuples)
+    assert (mu.tobytes(), sigma2.tobytes()) == (mu_ref.tobytes(), sigma2_ref.tobytes())
+    bad = ~np.isfinite(np.array(mags)).all(axis=0)
+    if kind == "A3":
+        assert not bad.any()
+    else:
+        assert (sigma2[bad] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +234,11 @@ def test_moment_vote_d2_sigma_is_sum_of_scatters():
     assert sigma2 == pytest.approx(0.13, abs=1e-12)
 
 
-def test_moment_vote_degenerate_uses_remaining_terms():
-    # coincident reps: D2 gradient undefined, sigma2 falls back gracefully
-    mu, sigma2 = one_vote("D2", [(1, 1, 1), (1, 1, 1)], [0.01, 0.0])
+def test_moment_vote_coincident_d2_is_point_mass():
+    # coincident reps: D2 has no gradient at 0, so the vote has no spread
+    mu, sigma2 = one_vote("D2", [(1, 1, 1), (1, 1, 1)], [0.01, 0.04])
     assert mu == 0.0
-    assert np.isfinite(sigma2)
-    assert sigma2 >= 0.0
+    assert sigma2 == 0.0
 
 
 def test_moment_vote_a3_matches_monte_carlo():
@@ -267,7 +275,7 @@ def test_moment_vote_t3_matches_monte_carlo():
 
 
 def test_moment_votes_rows_are_independent():
-    # a degenerate row (central-difference fallback) next to regular rows
+    # a degenerate row (a point mass: its slots add 0) next to regular rows
     # gets the same moments as it does on its own
     positions = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 0, 0], [0.5, 1.5, 0.3]])
     scatters = np.array([0.01, 0.04, 0.02, 0.03])
@@ -400,9 +408,10 @@ def assert_votes_match_one_shot(kind, positions, scatters, idx, edges):
 
 def degenerate_reps(rng):
     """Reps 0 and 1 coincide, 0, 2 and 3 are collinear, 0, 2, 3 and 4 are
-    coplanar (all exactly); reps 5-11 are in general position. The R3
-    central differences of the collinear triple are small but not zero, so
-    they depend on which reps' scatters are read."""
+    coplanar (all exactly); reps 5-11 are in general position. Their D2, R3
+    and T3 tuples vote point masses; the collinear A3 triple keeps the spread
+    of its finite half-side magnitudes, which depends on which reps'
+    scatters are read."""
     fixed = np.array(
         [[0.0, 0, 0.4], [0.0, 0, 0.4], [0.3, 0.7, 0.4], [0.6, 1.4, 0.4], [0.9, -0.2, 0.4]]
     )
@@ -432,9 +441,10 @@ def test_blocked_votes_degenerate_rows_at_block_boundaries(monkeypatch, kind, bl
     boundary_rows = [block - 1, block, 2 * block - 1, 2 * block]
     idx[boundary_rows] = degenerate
     _, sigma2 = assert_votes_match_one_shot(kind, positions, scatters, idx, np.linspace(0.0, 2.0, 17))
-    assert np.isfinite(sigma2[boundary_rows]).all()
-    if kind == "R3":
+    if kind == "A3":
         assert (sigma2[boundary_rows] > 0).all()
+    else:
+        assert (sigma2[boundary_rows] == 0.0).all()
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -672,6 +682,27 @@ def test_hsd_histogram_normalized():
     root = build_octree(cloud)
     feat = hsd(root, "A3", 2, SDConfig(lo=0.0, hi=3.0))
     assert feat.histogram.total() == pytest.approx(1.0, abs=1e-9)
+
+
+def min_seconds(fn, repeats=3):
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_hsd_flat_cloud_votes_point_masses_without_slow_path():
+    # every T3 rep tuple of a flat cloud is coplanar: it votes a point mass
+    # at volume 0 and costs what a tuple of the same cloud in 3-D costs
+    cloud = make_object("lshape", 300, np.random.default_rng(1))
+    flat = cloud.points.copy()
+    flat[:, 2] = 0.0
+    general, planar = build_octree(cloud), build_octree(PointCloud(flat))
+    assert hsd(planar, "T3", 3, SDConfig()).histogram.mass[0] == 1.0
+    seconds = [min_seconds(lambda: hsd(root, "T3", 3, SDConfig())) for root in (general, planar)]
+    assert seconds[1] <= 2.0 * seconds[0], seconds
 
 
 @st.composite
