@@ -17,13 +17,16 @@ vote stands in for `prod(weights)` point tuples.
 Both paths measure through one per-kind kernel, `measure_many`, which
 returns the values and, for HSD, the per-slot gradient magnitudes from the
 same edge vectors, cross product and norms of (3, B) coordinate rows. They
-measure `VOTE_BLOCK` tuples at a time, so a call's temporaries stay one block
-in size whatever the sample budget (at most `MAX_SAMPLE_BUDGET`). HSD's
-Gaussian votes are quantized; `_gaussian_bin_mass` states how, and its error bound.
+draw and measure `VOTE_BLOCK` tuples at a time, so a call's temporaries stay
+one block in size whatever the sample budget (at most `MAX_SAMPLE_BUDGET`).
+HSD's Gaussian votes are quantized; `_gaussian_bin_mass` states how, and its
+error bound. Each (sigma class, bins) kernel is built once per process and
+kept in a bounded read-only table, `_class_kernel`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,7 +42,11 @@ ARITY = {"D2": 2, "A3": 3, "R3": 3, "T3": 4}
 VOTE_BLOCK = 8192
 # the largest sample budget: a T3 tuple table of 10**7 rows takes 320 MB
 MAX_SAMPLE_BUDGET = 10**7
-CDF_GRID = 4096  # grid points of the weighted sampler's lookup table, a power of two
+# the most histogram bins: bounds per-bin arrays and each voting kernel's width
+MAX_BINS = 1024
+# the weighted sampler's lookup table has the power of two of cells at or
+# above 16 per index, within these bounds (8 KB to 9 MB of table)
+CDF_GRID = (4096, 2**20)
 # diameters `sd_ranges` accepts; HSD's T3 vote variances scale as diameter**6,
 # which stays a normal float over this window
 DIAMETER_WINDOW = (1e-40, 1e40)
@@ -63,6 +70,8 @@ class SDConfig:
     def __post_init__(self):
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bins must be at most {MAX_BINS}, got {self.bins}")
         if not 1 <= self.sample_budget <= MAX_SAMPLE_BUDGET:
             raise ValueError(
                 f"sample_budget must be in 1..{MAX_SAMPLE_BUDGET}, got {self.sample_budget}"
@@ -210,6 +219,7 @@ def moment_votes(
 
 # classes per octave, cells per sigma, window in sigmas, largest |class| (2**+-1000 widths)
 SIGMA_CLASSES, MEAN_CELLS, WINDOW, MAX_CLASS = 8, 16, 8.0, 8000
+KERNEL_TABLE_SIZE = 256  # (class, bins) kernels one process keeps, least recently used out
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -218,6 +228,34 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     one Python call per value: within 2.2e-16 of scipy's `ndtr` on the tests'
     grid, without scipy's import time."""
     return 0.5 * _ERFC(x * -math.sqrt(0.5)).astype(np.float64)
+
+
+@functools.lru_cache(maxsize=KERNEL_TABLE_SIZE)
+def _class_kernel(k: int, bins: int) -> Tuple[int, int, np.ndarray, np.ndarray]:
+    """Sigma class k's voting kernel over `bins` bins: its mean cells per bin,
+    its cells per side of an edge (`reach`), its window columns (bins from a
+    cell's edge) and one read-only CDF kernel row per cell offset 0..2 reach
+    from the edge's first cell, shape (2 reach, cols.size).
+
+    Nothing here depends on the votes, so one process builds each entry once
+    (two threads may both build one; the results are equal). An entry holds
+    8 (2 reach + 1) cols.size bytes: at most 8.4 KB below sigma_k = 1 bin
+    and 8 * 17 (2 min(ceil(8 sigma_k), 2 bins) + 2) from there on, so at
+    most 557 KB at `MAX_BINS` and 35 KB at the default 64 bins. Of
+    `KERNEL_TABLE_SIZE` entries, that is at most 143 MB, or 9 MB at 64 bins.
+    """
+    s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)  # sigma_k in bins
+    cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
+    half = min(math.ceil(WINDOW * s), 2 * bins)
+    reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)  # cells per side
+    cols = np.arange(-half - 1, half + 1)
+    offset = np.arange(2 * reach)
+    cdf = _normal_cdf((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    kernel = np.diff(cdf, axis=1)
+    cols.setflags(write=False)
+    kernel.setflags(write=False)
+    return cells, reach, cols, kernel
 
 
 def _gaussian_bin_mass(
@@ -231,13 +269,14 @@ def _gaussian_bin_mass(
     class's geometric centre sigma_k (within a factor 2^(1/16)), and the mean
     to the centre of its cell (within sigma_k / 32): max(16, ceil(16 width /
     sigma_k)) cells per bin, counted from the nearest edge, and those past
-    8 sigma_k from it share one point-mass kernel. The cells reach one range
-    past each end, so means out of range keep their place (farther ones move
-    to the ends), and windows of 8 sigma_k, capped at 2 B bins, cover the
-    range from any cell. Weights are summed per (class, cell) by `bincount`;
-    `_normal_cdf` runs once per class and occupied cell offset, F := 0 / 1 at
-    the window ends, so each cell's mass telescopes to its weight, and a
-    chunk of cells is deposited at a time. Per unit weight, a vote's L1 to
+    8 sigma_k from it share one point-mass kernel. Edges reach one range past
+    each end, so means out of range keep their place (farther ones move to
+    the ends), and windows of 8 sigma_k, capped at 2 B bins, cover the range
+    from any cell. Weights are summed per (class, cell) by `bincount` over
+    the edges from the class's lowest occupied one up; each occupied cell
+    reads its kernel row, F := 0 / 1 at the window ends, from the process's
+    `_class_kernel` table, so each cell's mass telescopes to its weight, and
+    a chunk of cells is deposited at a time. Per unit weight, a vote's L1 to
     its own windowed Gaussian is at most 2 TV(N(0, 1), N(0, 2^(1/8))) +
     2 TV(N(0, 1), N(1/32, 1)) = 0.067.
     """
@@ -251,29 +290,28 @@ def _gaussian_bin_mass(
     cls = np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width))
     cls = np.clip(cls, -MAX_CLASS, MAX_CLASS).astype(np.int16)
     order = np.argsort(cls, kind="stable")
-    classes, first = np.unique(cls[order], return_index=True)
-    for k, members in zip(classes.tolist(), np.split(smooth[order], first[1:])):
-        s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)  # sigma_k in bins
-        cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
-        half = min(math.ceil(WINDOW * s), 2 * bins)
-        reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)  # cells per side
-        edge = np.rint(np.clip((mu[members] - lo) / width, -bins, 2 * bins))  # on the padded grid
-        # from the edge's own value, so which side of it a mean lies on is exact
-        cell = np.floor((mu[members] - (lo + edge * width)) / width * cells)
-        cell = (np.clip(cell, -reach, reach - 1) + reach + (edge + bins) * (2 * reach)).astype(int)
-        grid = np.bincount(cell, weight[members], minlength=(3 * bins + 1) * 2 * reach)
+    cls, smooth = cls[order], smooth[order]  # by class, in vote order within one
+    edge = np.rint(np.clip((mu[smooth] - lo) / width, -bins, 2 * bins))
+    # from the edge's own value, so which side of it a mean lies on is exact
+    frac = (mu[smooth] - (lo + edge * width)) / width
+    weight = weight[smooth]
+    del order, smooth  # 16 bytes a vote the loop does not read
+    starts = np.flatnonzero(np.diff(cls, prepend=cls[:1] - 1)).tolist()  # where each class begins
+    for k, start, stop in zip(cls[starts].tolist(), starts, starts[1:] + [cls.size]):
+        cells, reach, cols, kernel = _class_kernel(k, bins)
+        first = edge[start:stop].min()
+        cell = np.floor(frac[start:stop] * cells)
+        cell = np.clip(cell, -reach, reach - 1) + reach + (edge[start:stop] - first) * (2 * reach)
+        grid = np.bincount(cell.astype(int), weight[start:stop])
         occupied = np.flatnonzero(grid)
         edge_of, offset = np.divmod(occupied, 2 * reach)
-        offset, row = np.unique(offset, return_inverse=True)
-        cols = np.arange(-half - 1, half + 1)  # bins from a cell's edge
-        cdf = _normal_cdf((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
-        cdf[:, 0], cdf[:, -1] = 0.0, 1.0
-        kernel, w = np.diff(cdf, axis=1), grid[occupied]
+        edge_of += int(first)
+        w = grid[occupied]
         rows = max(1, 16384 // cols.size)  # cells deposited at once
         for begin in range(0, w.size, rows):
             sl = slice(begin, begin + rows)
-            bin_idx = np.clip(edge_of[sl, None] - bins + cols, 0, bins - 1).ravel()
-            out += np.bincount(bin_idx, (kernel[row[sl]] * w[sl, None]).ravel(), minlength=bins)
+            bin_idx = np.clip(edge_of[sl, None] + cols, 0, bins - 1).ravel()
+            out += np.bincount(bin_idx, (kernel[offset[sl]] * w[sl, None]).ravel(), minlength=bins)
     return out
 
 
@@ -300,28 +338,33 @@ def _sample_tuples(
 ) -> np.ndarray:
     """Draw `budget` index tuples with all-distinct entries; slots are drawn
     independently (optionally weighted, via inverse-CDF lookup) and rows with
-    duplicate entries are redrawn. A weighted draw in a `CDF_GRID` cell
-    without a CDF step takes the index at the cell's grid point; only the
-    rest search `cum`, so every index is `searchsorted(cum, u, "right")`."""
+    duplicate entries are redrawn. Rows are drawn and checked `VOTE_BLOCK` at
+    a time; the generator yields the same stream in blocks as at once, so the
+    tuples do not depend on the block size. A weighted draw looks up its
+    cell of a table of about 16 cells per index (`CDF_GRID`): in a cell
+    without a CDF step it takes the index at the cell's grid point, clipped
+    to n - 1; only the rest search `cum`, so every index is
+    `min(searchsorted(cum, u, "right"), n - 1)`."""
     if p is not None:
         cum = np.cumsum(p)
-        at_grid = np.searchsorted(cum, np.arange(CDF_GRID + 1) / CDF_GRID, side="right")
+        grid = min(max(CDF_GRID[0], 1 << (16 * n - 1).bit_length()), CDF_GRID[1])
+        at_grid = np.searchsorted(cum, np.arange(grid + 1) / grid, side="right")
+        np.minimum(at_grid, n - 1, out=at_grid)
         settled = at_grid[:-1] == at_grid[1:]
     out = np.empty((budget, r), dtype=np.int64)
     filled = 0
     while filled < budget:
-        want = budget - filled
+        want = min(budget - filled, VOTE_BLOCK)
         if p is None:
             cand = rng.integers(0, n, size=(want, r))
         else:
             u = rng.random(size=(want, r))
-            u *= CDF_GRID  # exact: a power of two
-            cand = u.astype(np.int64)
-            slow = ~settled[cand]
-            u = u[slow] / CDF_GRID  # rebinding frees the whole-budget draws
-            cand = at_grid[cand]
-            cand[slow] = np.searchsorted(cum, u, side="right")
-            np.clip(cand, 0, n - 1, out=cand)
+            u *= grid  # exact: a power of two
+            cell = u.astype(np.int64)
+            cand = at_grid[cell]
+            slow = ~settled[cell]
+            # below the next grid point, so at most at_grid[cell + 1] <= n - 1
+            cand[slow] = np.searchsorted(cum, u[slow] / grid, side="right")
         if r > 1:
             good = np.ones(want, dtype=bool)
             for i in range(r):

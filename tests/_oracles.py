@@ -13,6 +13,9 @@ versions that the blocked library code must match bit for bit.
 voting the library used before quantized voting: every vote evaluates the
 CDF over its own window, and the quantized votes must match it within the
 error bound stated in `shapedist._gaussian_bin_mass`.
+`gaussian_bin_mass_per_call` is the quantized voting as it was before its
+per-process kernel table, and `sample_tuples_searchsorted` the sampler
+before its lookup table; the library must match both bit for bit.
 
 `measure`, `measure_many` and `gradient_magnitudes` are the separate value
 and gradient chains the library measured with before its one kernel, on
@@ -494,6 +497,49 @@ def _window_votes(out, edge_values, half, center, mu, sigma, weight, chunk=16384
         np.add(c, edge_off[:-1], out=bin_idx)
         np.clip(bin_idx, 0, bins - 1, out=bin_idx)
         np.add.at(out, bin_idx.ravel(), mass.ravel())
+
+
+def gaussian_bin_mass_per_call(edges, mu, sigma, weight):
+    """`shapedist._gaussian_bin_mass` as it voted before its kernel table:
+    every call builds each class's CDF rows for its occupied cell offsets
+    only, on a vote grid padded one range past each end, and finds the
+    classes with `np.unique`. The table version must match it bit for bit."""
+    from lidarshape.core import Histogram1D
+    from lidarshape.shapedist import MAX_CLASS, MEAN_CELLS, SIGMA_CLASSES, WINDOW, _normal_cdf
+
+    bins = edges.shape[0] - 1
+    lo = float(edges[0])
+    width = (float(edges[-1]) - lo) / bins
+    point = sigma <= 0
+    center = Histogram1D.bin_indices(mu[point], lo, float(edges[-1]), bins)
+    out = np.bincount(center, weight[point], minlength=bins).astype(np.float64)
+    smooth = np.flatnonzero(sigma > 0)
+    cls = np.floor(SIGMA_CLASSES * np.log2(sigma[smooth] / width))
+    cls = np.clip(cls, -MAX_CLASS, MAX_CLASS).astype(np.int16)
+    order = np.argsort(cls, kind="stable")
+    classes, first = np.unique(cls[order], return_index=True)
+    for k, members in zip(classes.tolist(), np.split(smooth[order], first[1:])):
+        s = 2.0 ** ((k + 0.5) / SIGMA_CLASSES)
+        cells = max(MEAN_CELLS, math.ceil(MEAN_CELLS / s))
+        half = min(math.ceil(WINDOW * s), 2 * bins)
+        reach = min(math.ceil(cells / 2), math.ceil(WINDOW * s * cells) + 1)
+        edge = np.rint(np.clip((mu[members] - lo) / width, -bins, 2 * bins))
+        cell = np.floor((mu[members] - (lo + edge * width)) / width * cells)
+        cell = (np.clip(cell, -reach, reach - 1) + reach + (edge + bins) * (2 * reach)).astype(int)
+        grid = np.bincount(cell, weight[members], minlength=(3 * bins + 1) * 2 * reach)
+        occupied = np.flatnonzero(grid)
+        edge_of, offset = np.divmod(occupied, 2 * reach)
+        offset, row = np.unique(offset, return_inverse=True)
+        cols = np.arange(-half - 1, half + 1)
+        cdf = _normal_cdf((np.append(cols, half + 1) - (offset[:, None] - reach + 0.5) / cells) / s)
+        cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+        kernel, w = np.diff(cdf, axis=1), grid[occupied]
+        rows = max(1, 16384 // cols.size)
+        for begin in range(0, w.size, rows):
+            sl = slice(begin, begin + rows)
+            bin_idx = np.clip(edge_of[sl, None] - bins + cols, 0, bins - 1).ravel()
+            out += np.bincount(bin_idx, (kernel[row[sl]] * w[sl, None]).ravel(), minlength=bins)
+    return out
 
 
 def exact_sd_one_shot(cloud, kind, cfg):

@@ -95,6 +95,7 @@ def test_config_rejects_bad_value(tmp_path):
     [
         ("sample_budget = 1000000000", "sample_budget must be in 1..10000000, got 1000000000"),
         ("bins = 1", "bins must be >= 2, got 1"),
+        ("bins = 1025", "bins must be at most 1024, got 1025"),
         ("octree_leaf_capacity = 0", "octree parameters must be positive"),
         ("icp_max_iters = 0", "max_iters must be >= 1, got 0"),
         ("icp_trim_fraction = 1.5", "trim_fraction must be in [0, 1), got 1.5"),

@@ -197,14 +197,27 @@ def test_save_to_directory_is_io_error(tmp_path):
         save_cloud(PointCloud(np.zeros((1, 3))), tmp_path)
 
 
-def test_roundtrip_bitwise_on_9_digit_text(tmp_path):
+def test_roundtrip_bitwise_on_9_digit_text(tmp_path, monkeypatch):
+    # signed zeros, subnormals and the largest finite magnitudes among them;
+    # blocks of 7 rows leave a partial last block
     rng = np.random.default_rng(11)
-    cloud = random_cloud(rng, n=100, scale=123.0)
-    p1, p2 = tmp_path / "a.xyz", tmp_path / "b.xyz"
-    save_cloud(cloud, p1)
-    again = load_cloud(p1)
-    save_cloud(again, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    extreme = [
+        [-0.0, 0.0, 5e-324],
+        [-5e-324, 2.2250738585072014e-308 / 3, -1.7976931348623157e308],
+        [1.7976931348623157e308, 1e-300, -123456789.123],
+    ]
+    cloud = PointCloud(np.vstack([random_cloud(rng, n=100, scale=123.0).points, extreme]))
+    per_row = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in cloud.points)
+    for block in (core.SAVE_BLOCK, 7):
+        monkeypatch.setattr(core, "SAVE_BLOCK", block)
+        p1, p2 = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        save_cloud(cloud, p1)
+        assert p1.read_text() == per_row
+        again = load_cloud(p1)
+        save_cloud(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+    assert "-0 0 4.94065646e-324\n" in per_row
+    assert "1.79769313e+308 1e-300 -123456789\n" in per_row
 
 
 def test_load_ply_subset(tmp_path):

@@ -37,6 +37,7 @@ import _oracles
 from _oracles import (
     brute_force_histogram,
     exact_sd_one_shot,
+    gaussian_bin_mass_per_call,
     gaussian_bin_mass_windowed,
     histogram_l1,
     moment_votes_one_shot,
@@ -166,6 +167,13 @@ def test_exact_sd_too_few_points():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
     with pytest.raises(ValueError):
         exact_sd(cloud, "A3")
+
+
+def test_sd_config_bins_capped():
+    assert SDConfig(bins=shapedist.MAX_BINS).bins == shapedist.MAX_BINS
+    cap = shapedist.MAX_BINS
+    with pytest.raises(ValueError, match=f"bins must be at most {cap}, got {cap + 1}"):
+        SDConfig(bins=cap + 1)
 
 
 def test_exact_sd_matches_brute_force_enumeration():
@@ -353,19 +361,27 @@ def test_all_combinations_match_itertools(r):
         assert np.array_equal(got, expected.reshape(-1, r))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_weighted_sample_tuples_match_searchsorted(r):
     # skewed weights put many CDF steps in one lookup cell and leave others
     # empty; zero weights, a single-rep spike and a total short of 1 (draws
-    # past the last step) are among them
+    # past the last step) are among them; 70k reps reach the largest lookup
+    # table and r + 1 reps redraw many rows; budgets from one row to a
+    # partial fourth block, and the uniform draws too
+    block = shapedist.VOTE_BLOCK
     rng = np.random.default_rng(139)
     spiky = np.r_[np.zeros(5), 60.0, rng.uniform(0.0, 1.0, 40)]
-    for w in (np.ones(127), rng.uniform(1, 30, 300) ** 4, spiky, np.arange(1.0, 9.0)):
+    weights = (
+        np.ones(127), rng.uniform(1, 30, 300) ** 4, spiky, np.arange(1.0, 9.0),
+        rng.uniform(1, 30, 70_000) ** 4, np.arange(1.0, r + 2),
+    )
+    for w in weights:
         p = w / w.sum()
-        for q in (p, p * (1 - 1e-3)):
-            got = _sample_tuples(w.shape[0], r, 5000, np.random.default_rng(7), p=q)
-            want = sample_tuples_searchsorted(w.shape[0], r, 5000, np.random.default_rng(7), p=q)
-            assert np.array_equal(got, want)
+        for budget in (1, 5000, block - 1, block + 1, 3 * block + 17):
+            for q in (None, p, p * (1 - 1e-3)):
+                got = _sample_tuples(w.shape[0], r, budget, np.random.default_rng(7), p=q)
+                want = sample_tuples_searchsorted(w.shape[0], r, budget, np.random.default_rng(7), p=q)
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +532,19 @@ def test_gaussian_bin_mass_matches_ndtr_version(monkeypatch):
         sigma = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-5, 1, size=n) / 64)
         draws.append((mu, sigma, rng.uniform(0.1, 3.0, size=n)))
     got = [_gaussian_bin_mass(edges, *draw) for draw in draws]
+    # the kernel table would hand back the erfc kernels: rebuild them from
+    # ndtr, and keep those out of later calls
+    shapedist._class_kernel.cache_clear()
     monkeypatch.setattr(shapedist, "_normal_cdf", ndtr)
-    for mass, (mu, sigma, weight) in zip(got, draws):
-        want = _gaussian_bin_mass(edges, mu, sigma, weight)
-        assert np.abs(mass - want).max() <= 1e-15 * weight.sum()
+    try:
+        differ = 0
+        for mass, (mu, sigma, weight) in zip(got, draws):
+            want = _gaussian_bin_mass(edges, mu, sigma, weight)
+            assert np.abs(mass - want).max() <= 1e-15 * weight.sum()
+            differ += int((mass != want).sum())
+        assert differ > 0  # the two CDFs round apart, so ndtr kernels did vote
+    finally:
+        shapedist._class_kernel.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -543,6 +568,43 @@ def test_vote_mass_conserved_property(bins, votes):
     mass = _gaussian_bin_mass(np.linspace(lo, hi, bins + 1), lo + t * (hi - lo), sigma * width, weight)
     assert (mass >= 0).all()
     assert mass.sum() == pytest.approx(weight.sum(), rel=1e-12, abs=1e-300)
+
+
+_votes = st.lists(
+    st.tuples(
+        # mean in range lengths from lo: in range, at the padded range's ends, far past them
+        st.one_of(st.floats(-1.5, 2.5), st.sampled_from([-1.0, 2.0, -1e4, 1e4])),
+        # sigma in bin widths: point masses, and classes clipped at +-MAX_CLASS
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.sampled_from([1e-305, 1e305])),
+        st.floats(0.0, 10.0),  # weight
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bins=st.integers(2, 256), other_bins=st.integers(2, 256), votes=_votes, other=_votes)
+def test_gaussian_bin_mass_matches_per_call_oracle_property(bins, other_bins, votes, other):
+    # bitwise the voting that built its kernels per call, whichever calls
+    # filled the kernel table first
+    lo, hi = -0.7, 2.3
+
+    def vote(n_bins, draws):
+        t, sigma, weight = (np.array(col) for col in zip(*draws))
+        edges = np.linspace(lo, hi, n_bins + 1)
+        mu, sigma = lo + t * (hi - lo), sigma * (hi - lo) / n_bins
+        with np.errstate(over="ignore"):
+            mass = _gaussian_bin_mass(edges, mu, sigma, weight)
+            assert mass.tobytes() == gaussian_bin_mass_per_call(edges, mu, sigma, weight).tobytes()
+        return mass.tobytes()
+
+    shapedist._class_kernel.cache_clear()
+    first = vote(bins, votes), vote(other_bins, other)
+    shapedist._class_kernel.cache_clear()
+    assert vote(other_bins, other) == first[1]
+    assert vote(bins, votes) == first[0]
+    assert vote(bins, votes) == first[0]  # from a warm table
 
 
 _rep_coords = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1.0, 0.0, 1.0]))
