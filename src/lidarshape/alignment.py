@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, emd_1d
-from .shapedist import SDConfig, exact_sd, sd_ranges
+from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, cloud_diameter, emd_1d
+from .shapedist import SDConfig, exact_sd
 
 FEATURE_NAMES = ("height", "radial", "d2", "slab", "plane")
 
@@ -46,20 +46,17 @@ def feature_ranges_for_group(
     Every bound is derived from rotation-invariant quantities (z extent and
     planar radius about the centroid, never the axis-aligned bbox), so the
     ranges cannot drift when objects are moved by 4-DOF transforms. Each
-    bound is at least 1e-12; a group diameter `sd_ranges` refuses raises.
+    bound is at least 1e-12; an object `cloud_diameter` refuses raises.
     """
     h_max = r_max = d_max = 0.0
     for obj in objects:
         pts = obj.points
+        cloud_diameter(pts)  # the diameter rule: raises outside its window
         h = float(pts[:, 2].max() - pts[:, 2].min())
         h_max = max(h_max, h)
-        centroid = pts[:, :2].mean(axis=0)
-        with np.errstate(over="ignore"):  # an overflowing radius is inf, outside the window
-            radial = np.linalg.norm(pts[:, :2] - centroid, axis=1)
-        r = float(radial.max())
+        r = float(np.linalg.norm(pts[:, :2] - pts[:, :2].mean(axis=0), axis=1).max())
         r_max = max(r_max, r)
         d_max = max(d_max, math.hypot(2.0 * r, h))  # bounds any pairwise distance
-    sd_ranges(d_max)  # owns the diameter window: raises outside it
     h_max, r_max, d_max = (max(x, 1e-12) for x in (h_max, r_max, d_max))
     return {
         "height": (0.0, h_max),
@@ -284,16 +281,7 @@ def align_group(
         update, _ = icp_4dof(src_cloud, dst_cloud, cfg)
         for k in moved:
             transforms[k] = update.compose(transforms[k])
-        merges.append(
-            MergeRecord(
-                kept_set=tuple(kept),
-                merged_set=tuple(moved),
-                source_object=source_obj,
-                target_object=target_obj,
-                transform=update,
-                distance=dist,
-            )
-        )
+        merges.append(MergeRecord(tuple(kept), tuple(moved), source_obj, target_obj, update, dist))
 
     return GroupAlignment(transforms=tuple(transforms), merges=tuple(merges))
 

@@ -36,7 +36,7 @@ from .core import PointCloud, load_cloud, save_cloud
 # build_octree, exact_sd and hsd go uncalled here: the benchmark's self-test
 # requires these bindings, which its tracer wraps in every module that has one
 from .octree import OctreeConfig, build_octree
-from .shapedist import SDConfig, exact_sd, hsd, sd_ranges, write_features_csv
+from .shapedist import SDConfig, exact_sd, hsd, write_features_csv
 
 # fixed per-stage seed offsets (single config seed fans out to stages)
 SEED_SPIN_CLUSTER = 1
@@ -143,10 +143,6 @@ class RunConfig:
         )
 
 
-def _is_manifest(path: Path) -> bool:
-    return path.suffix.lower() == ".csv"
-
-
 @contextlib.contextmanager
 def _naming(path):
     """Prefix the input's path to a ValueError raised in the block."""
@@ -172,20 +168,13 @@ def _dataset_features(cfg: RunConfig, manifest, ds: evaluate.LabeledDataset):
 
 def cmd_features(args, cfg: RunConfig, out: Path) -> int:
     path = Path(args.input)
-    if _is_manifest(path):
+    if path.suffix.lower() == ".csv":  # a manifest
         ds = evaluate.load_manifest(path)
-        feats = _dataset_features(cfg, path, ds)
         names = [f"{i:03d}_{category}" for i, (_, category) in enumerate(ds.objects)]
-    else:
-        cloud = load_cloud(path)
-        with _naming(path):
-            ranges = sd_ranges(cloud.bbox_diagonal())
-            feats = [
-                evaluate.object_4features(
-                    cloud, cfg.feature_mode, cfg.sd_config(), ranges, cfg.octree_config()
-                )
-            ]
+    else:  # a one-object dataset
+        ds = evaluate.LabeledDataset(((load_cloud(path), path.stem),))
         names = [path.stem]
+    feats = _dataset_features(cfg, path, ds)
     for feat, name in zip(feats, names):
         write_features_csv([feat[k] for k in evaluate.KINDS], out / f"features_{name}.csv")
     print(f"wrote {len(feats)} feature file(s) to {out}")
@@ -253,9 +242,9 @@ def cmd_eval(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_spin(args, cfg: RunConfig, out: Path) -> int:
     cloud = load_cloud(args.cloud)
-    radius = cfg.spin_support_radius if cfg.spin_support_radius > 0 else None
-    with _naming(args.cloud):  # the auto radius and the image count come from the cloud
-        images = spinimage.spin_images(cloud, support_radius=radius)
+    with _naming(args.cloud):  # the diameter rule and the image count come from the cloud
+        auto = spinimage.default_support_radius(cloud)
+        images = spinimage.spin_images(cloud, support_radius=cfg.spin_support_radius or auto)
         cb = spinimage.train_codebook(images, cfg.spin_codebook_kind) if args.train else None
 
     if cb is not None:

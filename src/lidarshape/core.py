@@ -24,6 +24,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SAVE_BLOCK = 1024  # rows `save_cloud` formats at once: 160 KB of Python floats
+# diameters `cloud_diameter` accepts; HSD's T3 vote variances scale as
+# diameter**6, which stays a normal float over this window
+DIAMETER_WINDOW = (1e-40, 1e40)
 
 
 class ParseError(ValueError):
@@ -70,8 +73,26 @@ class PointCloud:
 
     def bbox_diagonal(self) -> float:
         """Bounding-box diagonal; a cheap upper bound on the true diameter."""
-        ext = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.linalg.norm(ext))
+        return float(np.linalg.norm(np.ptp(self.points, axis=0)))
+
+
+def cloud_diameter(points: np.ndarray) -> float:
+    """Bounding-box diagonal of (n, 3) `points` in `bbox_diagonal`'s bits,
+    taken by every command of each cloud before any feature: 0.0 for one
+    repeated point, and a ValueError without a numpy warning for any other
+    diagonal outside `DIAMETER_WINDOW`, one that rounds to 0 or inf included."""
+    with np.errstate(over="ignore"):  # an extent past the float range is inf
+        ext = np.ptp(points, axis=0)
+    if not ext.any():
+        return 0.0
+    lo, hi = DIAMETER_WINDOW
+    # the norm squares the largest extent, normal inside (lo / 2, 2 hi); past
+    # those ends the diagonal is outside the window and hypot names it
+    top = ext.max()
+    d = float(np.linalg.norm(ext)) if lo / 2 < top < 2 * hi else math.hypot(*ext.tolist())
+    if not lo <= d <= hi:
+        raise ValueError(f"cloud diameter {d:.9g} is outside [{lo:g}, {hi:g}]")
+    return d
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PointCloud, emd_1d, load_cloud
+from .core import PointCloud, cloud_diameter, emd_1d, load_cloud
 from .octree import OctreeConfig, build_octree
 from .shapedist import KINDS, SDConfig, SDFeature, exact_sd, hsd, sd_ranges
 
@@ -113,7 +113,7 @@ def dataset_features(
     maximum diameter. Every object uses the same sampling seed, so duplicate
     objects always map to identical features. A ValueError names the object
     by index and category."""
-    ranges = sd_ranges(max(cloud.bbox_diagonal() for cloud, _ in ds.objects))
+    ranges = sd_ranges(max(cloud_diameter(cloud.points) for cloud, _ in ds.objects))
 
     def one(item):
         i, (cloud, category) = item
@@ -204,21 +204,12 @@ def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> Tuple[CategoryStats, .
     for cat in ds.categories:
         inside = np.nonzero(cats == cat)[0]
         outside = np.nonzero(cats != cat)[0]
-        within_vals = m.values[np.ix_(inside, inside)][np.triu_indices(len(inside), 1)]
-        across_vals = m.values[np.ix_(inside, outside)].ravel()
-        within_mean = float(np.mean(within_vals)) if within_vals.size else None
-        within_var = float(np.var(within_vals)) if within_vals.size else None
-        across_mean = float(np.mean(across_vals)) if across_vals.size else None
-        across_var = float(np.var(across_vals)) if across_vals.size else None
-        out.append(
-            CategoryStats(
-                category=cat,
-                within_mean=within_mean,
-                within_var=within_var,
-                across_mean=across_mean,
-                across_var=across_var,
-            )
-        )
+        within = m.values[np.ix_(inside, inside)][np.triu_indices(len(inside), 1)]
+        across = m.values[np.ix_(inside, outside)].ravel()
+        # within mean and variance, then across mean and variance
+        stats = [float(f(d)) if d.size else None
+                 for d in (within, across) for f in (np.mean, np.var)]
+        out.append(CategoryStats(cat, *stats))
     return tuple(out)
 
 
@@ -232,15 +223,11 @@ def _fmt(v: Optional[float]) -> str:
 
 
 def write_matrix_csv(m: DistanceMatrix, path) -> None:
+    names = [f"{cat}:{i}" for cat, i in zip(m.row_categories, m.row_objects)]
     with open(path, "w") as fh:
-        n = m.values.shape[0]
-        header = ",".join(
-            f"{m.row_categories[j]}:{m.row_objects[j]}" for j in range(n)
-        )
-        fh.write("object," + header + "\n")
-        for i in range(n):
-            row = ",".join(f"{v:.9g}" for v in m.values[i])
-            fh.write(f"{m.row_categories[i]}:{m.row_objects[i]},{row}\n")
+        fh.write("object," + ",".join(names) + "\n")
+        for name, row in zip(names, m.values):
+            fh.write(f"{name}," + ",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def write_stats_csv(

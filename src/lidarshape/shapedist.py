@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud
+from .core import Histogram1D, PointCloud, cloud_diameter
 from .octree import OctreeNode, nodes_at_level
 
 KINDS = ("D2", "A3", "T3", "R3")
@@ -47,9 +47,9 @@ MAX_BINS = 1024
 # the weighted sampler's lookup table has the power of two of cells at or
 # above 16 per index, within these bounds (8 KB to 9 MB of table)
 CDF_GRID = (4096, 2**20)
-# diameters `sd_ranges` accepts; HSD's T3 vote variances scale as diameter**6,
-# which stays a normal float over this window
-DIAMETER_WINDOW = (1e-40, 1e40)
+# the least chance that a weighted row's slots are all distinct: the sampler
+# redraws 1 / chance rows per row it keeps
+MIN_DISTINCT_CHANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,10 @@ class SDFeature:
 
 
 def sd_ranges(diameter: float) -> Dict[str, Tuple[float, float]]:
-    """Loose analytic upper bounds per measurement for a given diameter, so
-    histogram mass never clamps for real clouds. A zero diameter (all points
-    equal) takes 1e-12; any other outside `DIAMETER_WINDOW` raises."""
+    """Loose analytic upper bounds per measurement for a diameter from
+    `core.cloud_diameter`, so histogram mass never clamps for real clouds. A
+    zero diameter (all points equal) takes 1e-12."""
     d = float(diameter) or 1e-12
-    lo, hi = DIAMETER_WINDOW
-    if not lo <= d <= hi:
-        raise ValueError(f"cloud diameter {d:.9g} is outside [{lo:g}, {hi:g}]")
     return {
         "D2": (0.0, d),
         "A3": (0.0, d * d * math.sqrt(3.0) / 4.0),
@@ -293,7 +290,8 @@ def _gaussian_bin_mass(
     cls, smooth = cls[order], smooth[order]  # by class, in vote order within one
     edge = np.rint(np.clip((mu[smooth] - lo) / width, -bins, 2 * bins))
     # from the edge's own value, so which side of it a mean lies on is exact
-    frac = (mu[smooth] - (lo + edge * width)) / width
+    # clipped to one bin either side, which clips to the same cell (cells >= reach)
+    frac = np.clip((mu[smooth] - (lo + edge * width)) / width, -1.0, 1.0)
     weight = weight[smooth]
     del order, smooth  # 16 bytes a vote the loop does not read
     starts = np.flatnonzero(np.diff(cls, prepend=cls[:1] - 1)).tolist()  # where each class begins
@@ -376,22 +374,40 @@ def _sample_tuples(
     return out
 
 
+def _distinct_chance(p: np.ndarray, r: int) -> float:
+    """Chance that r independent draws from `p` are all distinct: r! e_r(p),
+    e_r from the power sums of `p` by Newton's identities."""
+    power = (p[None, :] ** np.arange(1, r + 1)[:, None]).sum(axis=1)
+    e = [1.0]
+    for k in range(1, r + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * power[i - 1] for i in range(1, k + 1)) / k)
+    return math.factorial(r) * e[r]
+
+
 def _tuple_table(
-    n: int, arity: int, cfg: SDConfig, p: Optional[np.ndarray] = None
+    n: int, kind: str, cfg: SDConfig, p: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, bool]:
     """The tuples a feature measures and whether they are all of them: every
     arity-subset of range(n) when their count fits the budget, otherwise
-    `sample_budget` seeded draws (weighted by `p` when given)."""
+    `sample_budget` seeded draws (weighted by `p` when given, which raises
+    when a row's draws are distinct with less than `MIN_DISTINCT_CHANCE`)."""
+    arity = ARITY[kind]
     if math.comb(n, arity) <= cfg.sample_budget:
         return _all_combinations(n, arity), True
+    chance = 1.0 if p is None else _distinct_chance(p, arity)
+    if chance < MIN_DISTINCT_CHANCE:
+        raise ValueError(
+            f"{kind} draws {arity} distinct representatives with chance {chance:.2g}, "
+            f"below {MIN_DISTINCT_CHANCE:g}: one holds {p.max():.3g} of the weight"
+        )
     rng = np.random.default_rng(cfg.seed)
     return _sample_tuples(n, arity, cfg.sample_budget, rng, p=p), False
 
 
-def _resolve_range(cfg: SDConfig, kind: str, diameter: float) -> Tuple[float, float]:
+def _resolve_range(cfg: SDConfig, kind: str, points: np.ndarray) -> Tuple[float, float]:
     if cfg.lo is not None:
         return cfg.lo, cfg.hi
-    return sd_ranges(diameter)[kind]
+    return sd_ranges(cloud_diameter(points))[kind]
 
 
 def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeature:
@@ -402,8 +418,8 @@ def exact_sd(cloud: PointCloud, kind: str, cfg: SDConfig = SDConfig()) -> SDFeat
     n = len(cloud)
     if n < arity:
         raise ValueError(f"{kind} needs at least {arity} points, cloud has {n}")
-    lo, hi = _resolve_range(cfg, kind, cloud.bbox_diagonal())
-    idx, _ = _tuple_table(n, arity, cfg)
+    lo, hi = _resolve_range(cfg, kind, cloud.points)
+    idx, _ = _tuple_table(n, kind, cfg)
     cols = np.ascontiguousarray(cloud.points.T)
     counts = np.zeros(cfg.bins, dtype=np.int64)
     for start in range(0, idx.shape[0], VOTE_BLOCK):
@@ -438,11 +454,9 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
     positions = np.ascontiguousarray(reps["position"])
     weights = reps["weight"].astype(np.float64)
     scatters = np.ascontiguousarray(reps["scatter"])
+    lo, hi = _resolve_range(cfg, kind, positions)
 
-    diam = float(np.linalg.norm(positions.max(axis=0) - positions.min(axis=0)))
-    lo, hi = _resolve_range(cfg, kind, diam)
-
-    idx, enumerated = _tuple_table(n_reps, arity, cfg, p=weights / weights.sum())
+    idx, enumerated = _tuple_table(n_reps, kind, cfg, p=weights / weights.sum())
     vote_w = math.prod(weights[c] for c in idx.T) if enumerated else np.ones(idx.shape[0])
 
     mu, sigma2 = moment_votes(kind, positions, scatters, idx)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ParseError, PointCloud, one_blas_thread
+from .core import ParseError, PointCloud, cloud_diameter, one_blas_thread
 
 SPIN_ROWS = 31  # beta axis, [-R, R]
 SPIN_COLS = 16  # alpha axis, [0, R]
@@ -79,8 +79,8 @@ class PartLabeling:
 
 
 def default_support_radius(cloud: PointCloud) -> float:
-    """Half the bounding-box diagonal."""
-    return 0.5 * cloud.bbox_diagonal()
+    """Half the cloud's `cloud_diameter`, so a diameter outside its window raises."""
+    return 0.5 * cloud_diameter(cloud.points)
 
 
 class _BlockVoter:

@@ -550,7 +550,7 @@ def exact_sd_one_shot(cloud, kind, cfg):
 
     arity = ARITY[kind]
     n = len(cloud)
-    lo, hi = _resolve_range(cfg, kind, cloud.bbox_diagonal())
+    lo, hi = _resolve_range(cfg, kind, cloud.points)
     if math.comb(n, arity) <= cfg.sample_budget:
         idx = _all_combinations(n, arity)
     else:

@@ -1,22 +1,29 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lidarshape
 import lidarshape.cli
 from lidarshape.cli import RunConfig, main
 from lidarshape.core import PointCloud, save_cloud
 from lidarshape.shapedist import MAX_SAMPLE_BUDGET, SDConfig
-from lidarshape.synth import make_object, make_scene
+from lidarshape.synth import OBJECT_KINDS, make_object, make_scene
 
 
 @pytest.fixture
@@ -264,7 +271,7 @@ def test_features_manifest_reads_threads_and_keeps_its_bytes(tmp_path, manifest,
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("scale", [1e41, 1e-41])
+@pytest.mark.parametrize("scale", [1e41, 1e-41, 1e300, 1e-300])
 def test_features_diameter_outside_the_window_exits_2_naming_the_input(tmp_path, capsys, scale):
     rng = np.random.default_rng(31)
     path = tmp_path / "far.xyz"
@@ -699,6 +706,131 @@ def test_align_small_object_named_before_similarity(tmp_path, capsys, monkeypatc
     assert main(["align", str(manifest), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: object 1 (pair): ICP needs at least 3 points, got 2")
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: every command applies one diameter rule to each cloud
+# ---------------------------------------------------------------------------
+
+
+class Overran(BaseException):
+    """A run outlived its time bound; `main` catches only Exception."""
+
+
+def run_bounded(argv, seconds):
+    """`main(argv)`, interrupted by `Overran` after `seconds` of wall time."""
+
+    def overran(signum, frame):
+        raise Overran(f"{argv[0]} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def hostile_cloud(shape, n, exponent, offset):
+    """n points of `shape` (a synth kind, "repeated", "collinear", "flat", or
+    "heavy": n spread points under 100,000 copies of one point), scaled by
+    10**exponent and shifted by `offset`, all drawn from seed 1."""
+    rng = np.random.default_rng(1)
+    if shape == "heavy":
+        pts = np.vstack([np.tile([[0.25, -0.5, 0.125]], (100_000, 1)), rng.uniform(-1, 1, (n, 3))])
+    elif shape == "repeated":  # at the offset whatever the scale: see the offsets below
+        pts = np.zeros((n, 3))
+    elif shape == "collinear":
+        pts = rng.random((n, 1)) * [[1.0, 2.0, 3.0]]
+    elif shape == "flat":
+        pts = np.column_stack([rng.random((n, 2)), np.full(n, 0.5)])
+    else:
+        pts = make_object(shape, n, rng).points
+    return PointCloud(pts * 10.0**exponent + offset)
+
+
+# argv after the command; features and spin read the first cloud alone
+HOSTILE_COMMANDS = {
+    "features": ["features"],
+    "features-hsd": ["features", "--mode", "hsd"],
+    "eval": ["eval"],
+    "align": ["align"],
+    "spin": ["spin", "--train"],
+}
+
+
+@pytest.mark.parametrize("exponent", [300, -300])
+@pytest.mark.parametrize("command", sorted(HOSTILE_COMMANDS))
+def test_every_command_refuses_a_diameter_outside_the_window_naming_its_input(
+    tmp_path, capsys, command, exponent
+):
+    save_cloud(hostile_cloud("lshape", 400, exponent, 0.0), tmp_path / "l.xyz")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("l.xyz,lshape\nl.xyz,lshape\n")
+    name, *flags = HOSTILE_COMMANDS[command]
+    target = tmp_path / "l.xyz" if name in ("features", "spin") else manifest
+    assert main([name, str(target), *flags, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: cloud diameter "), err
+    assert err.endswith(" is outside [1e-40, 1e+40]\n"), err
+
+
+def test_features_hsd_of_one_heavy_representative_exits_2_within_5_s(tmp_path, capsys):
+    # the level-3 reps' heaviest holds 0.996 of the weight: a row of weighted
+    # draws is all distinct with chance 4.7e-5 for A3 and R3 and 2.5e-7 for
+    # T3, so redrawing would not end (D2 enumerates its 37,950 rep pairs)
+    path = tmp_path / "heavy.xyz"
+    save_cloud(hostile_cloud("heavy", 400, 0, 0.0), path)
+    argv = ["features", str(path), "--mode", "hsd", "--out", str(tmp_path / "o")]
+    assert run_bounded(argv, 5) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: object 0 (heavy): A3 draws 3 distinct "), err
+    assert "with chance 4.7e-05, below 0.01: one holds 0.996 of the weight" in err
+
+
+_cloud_specs = st.tuples(
+    st.sampled_from(OBJECT_KINDS + ("repeated", "collinear", "flat")),
+    st.integers(1, 48),
+    # inside the diameter window, and anywhere a float scale reaches
+    st.one_of(st.integers(-45, 45), st.integers(-320, 306)),
+    # positions past 1e154 overflow align's squared ICP distances (ROADMAP
+    # direction 5), so a cloud lies within its extent of one of these points
+    st.sampled_from([0.0, -7.5, 1e6]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(sorted(HOSTILE_COMMANDS)),
+    specs=st.lists(_cloud_specs, min_size=1, max_size=3),
+)
+@example(command="features-hsd", specs=[("heavy", 400, 0, 0.0)])
+@example(command="features", specs=[("lshape", 400, -300, 0.0)])
+@example(command="features-hsd", specs=[("lshape", 400, 300, 0.0), ("box", 30, 0, 0.0)])
+@example(command="eval", specs=[("lshape", 400, -300, 0.0), ("lshape", 400, -300, 0.0)])
+@example(command="align", specs=[("lshape", 400, 300, 0.0), ("lshape", 400, 0, 0.0)])
+@example(command="spin", specs=[("lshape", 400, 300, 0.0)])
+@example(command="spin", specs=[("lshape", 400, -300, 0.0)])
+def test_hostile_inputs_exit_0_or_2_without_a_runtime_warning_in_bounded_time(command, specs):
+    name, *flags = HOSTILE_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lines = []
+        for i, spec in enumerate(specs):
+            save_cloud(hostile_cloud(*spec), tmp / f"c{i}.xyz")
+            lines.append(f"c{i}.xyz,{spec[0]}")
+        (tmp / "m.csv").write_text("\n".join(lines) + "\n")
+        target = tmp / ("c0.xyz" if name in ("features", "spin") else "m.csv")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_bounded([name, str(target), *flags, "--out", str(tmp / "o")], 10)
+    err = stderr.getvalue()
+    assert code in (0, 2) or (code == 1 and "degenerate correspondences" in err), err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # ---------------------------------------------------------------------------

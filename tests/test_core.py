@@ -58,6 +58,48 @@ def test_cloud_preserves_order():
     assert len(cloud) == 3
 
 
+def test_cloud_diameter_window():
+    lo, hi = core.DIAMETER_WINDOW
+    assert core.cloud_diameter(np.tile([[1.0, -2.0, 3.0]], (5, 1))) == 0.0  # one repeated point
+    for d in (lo, hi):
+        assert core.cloud_diameter(np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]])) == d
+    base = np.random.default_rng(41).normal(size=(20, 3))
+    for scale in (1e-41, 1e41, 1e-300, 1e300, 5e-324):
+        points = base * scale
+        ext = points.max(axis=0) - points.min(axis=0)
+        with pytest.raises(ValueError, match=r"is outside \[1e-40, 1e\+40\]") as info:
+            core.cloud_diameter(points)
+        # the message names the diagonal, not what a squared norm rounds it to
+        assert float(str(info.value).split()[2]) == pytest.approx(math.hypot(*ext), rel=1e-8)
+    for far in (1e308, 1.5e308):  # extents past the float range
+        with pytest.raises(ValueError, match=r"cloud diameter inf is outside \[1e-40, 1e\+40\]"):
+            core.cloud_diameter(np.array([[-far, 0.0, 0.0], [far, 1.0, 2.0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.just(3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_cloud_diameter_is_the_bbox_diagonal_inside_the_window_and_raises_outside(points):
+    lo, hi = core.DIAMETER_WINDOW
+    # the extents and the diagonal in Python floats: no overflow or underflow on the way
+    ext = [max(col) - min(col) for col in points.T.tolist()]
+    diagonal = math.hypot(*ext)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warnings raise
+        if not any(ext):
+            assert core.cloud_diameter(points) == 0.0
+        elif lo <= diagonal <= hi:
+            assert core.cloud_diameter(points) == PointCloud(points).bbox_diagonal()
+        else:
+            with pytest.raises(ValueError, match="is outside"):
+                core.cloud_diameter(points)
+
+
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
