@@ -25,12 +25,13 @@ then a union of sets per edge that joins two of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, cloud_diameter, emd_1d
+from .core import Histogram1D, PointCloud, Transform4DOF, apply_transform, array_rows
+from .core import cloud_diameter, emd_1d, write_table
 from .shapedist import SDConfig, exact_sd
 
 FEATURE_NAMES = ("height", "radial", "d2", "slab", "plane")
@@ -287,26 +288,21 @@ def align_group(
 
 
 def write_similarity_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        n = matrix.shape[0]
-        fh.write("," + ",".join(f"obj{j}" for j in range(n)) + "\n")
-        for i in range(n):
-            fh.write(f"obj{i}," + ",".join(f"{v:.9g}" for v in matrix[i]) + "\n")
+    n = matrix.shape[0]
+    header = "".join(f",obj{j}" for j in range(n)) + "\n"
+    rows = ((i, *row) for i, row in enumerate(array_rows(matrix)))
+    write_table(path, header, "obj%d" + ",%.9g" * n + "\n", rows)
 
 
 def write_transforms_csv(alignment: GroupAlignment, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("object_id,tx,ty,tz,theta\n")
-        for i, t in enumerate(alignment.transforms):
-            fh.write(f"{i},{t.tx:.9g},{t.ty:.9g},{t.tz:.9g},{t.theta:.9g}\n")
+    rows = ((i, *astuple(t)) for i, t in enumerate(alignment.transforms))
+    write_table(path, "object_id,tx,ty,tz,theta\n", "%d,%.9g,%.9g,%.9g,%.9g\n", rows)
 
 
 def write_merges_csv(alignment: GroupAlignment, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,source_object,target_object,distance,tx,ty,tz,theta\n")
-        for step, m in enumerate(alignment.merges):
-            t = m.transform
-            fh.write(
-                f"{step},{m.source_object},{m.target_object},{m.distance:.9g},"
-                f"{t.tx:.9g},{t.ty:.9g},{t.tz:.9g},{t.theta:.9g}\n"
-            )
+    rows = (
+        (step, m.source_object, m.target_object, m.distance, *astuple(m.transform))
+        for step, m in enumerate(alignment.merges)
+    )
+    header = "step,source_object,target_object,distance,tx,ty,tz,theta\n"
+    write_table(path, header, "%d,%d,%d" + ",%.9g" * 5 + "\n", rows)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, evaluate, roi, spinimage, synth
-from .core import PointCloud, load_cloud, save_cloud
+from .core import ParseError, PointCloud, array_rows, load_cloud, save_cloud, write_table
 # build_octree, exact_sd and hsd go uncalled here: the benchmark's self-test
 # requires these bindings, which its tracer wraps in every module that has one
 from .octree import OctreeConfig, build_octree
@@ -78,27 +78,25 @@ class RunConfig:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+                    raise ParseError(path, line_no, "expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in fields:
-                    raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+                    raise ParseError(path, line_no, f"unknown config key {key!r}")
                 parse = {"int": int, "float": float}.get(fields[key].type, str)
                 try:
                     setattr(cfg, key, parse(value))
                 except ValueError:
-                    raise ValueError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+                    raise ParseError(path, line_no, f"bad value {value!r} for {key}") from None
                 try:  # each key is checked alone, so the failing line is this one
                     cfg.check()
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+                    raise ParseError(path, line_no, str(exc)) from None
                 set_at[key] = line_no
         # checked once the file is read, so a file may lower both keys, max first
         if not cfg.roi_min_height <= cfg.roi_max_height:
             line_no = max(set_at.get("roi_min_height", 0), set_at.get("roi_max_height", 0))
-            raise ValueError(
-                f"{path}:{line_no}: roi_min_height {cfg.roi_min_height} exceeds"
-                f" roi_max_height {cfg.roi_max_height}"
-            )
+            low, high = cfg.roi_min_height, cfg.roi_max_height
+            raise ParseError(path, line_no, f"roi_min_height {low} exceeds roi_max_height {high}")
         return cfg
 
     def check(self) -> None:
@@ -253,17 +251,14 @@ def cmd_spin(args, cfg: RunConfig, out: Path) -> int:
         cb = spinimage.load_codebook(args.codebook)
 
     codes = spinimage.encode_all(images, cb)
-    with open(out / "codes.csv", "w") as fh:
-        fh.write("point_index," + ",".join(f"c{i}" for i in range(spinimage.CODE_COUNT)) + "\n")
-        for i, row in enumerate(codes.tolist()):
-            fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+    header = "point_index" + "".join(f",c{i}" for i in range(spinimage.CODE_COUNT)) + "\n"
+    rows = ((i, *row) for i, row in enumerate(array_rows(codes)))
+    write_table(out / "codes.csv", header, "%d" + ",%.9g" * spinimage.CODE_COUNT + "\n", rows)
 
     with _naming(args.cloud):
         labeling = spinimage.cluster_parts(codes, cfg.parts_k, seed=cfg.seed + SEED_SPIN_CLUSTER)
-    with open(out / "labels.csv", "w") as fh:
-        fh.write("point_index,label\n")
-        for i, label in enumerate(labeling.labels):
-            fh.write(f"{i},{label}\n")
+    labels = enumerate(labeling.labels.tolist())
+    write_table(out / "labels.csv", "point_index,label\n", "%d,%d\n", labels)
 
     for i in range(min(args.dump_images, len(images))):
         spinimage.write_spin_pgm(images[i], out / f"spin_{i:04d}.pgm")
@@ -275,12 +270,12 @@ def cmd_synth(args, cfg: RunConfig, out: Path) -> int:
     if args.what == "dataset":
         classes = {name.strip(): args.per_class for name in args.classes.split(",")}
         objects = synth.make_dataset(classes, args.points, seed=cfg.seed + SEED_SYNTH)
-        lines = ["file_path,category"]
+        entries = []
         for i, obj in enumerate(objects):
             name = f"{obj.label}_{i:03d}.xyz"
             save_cloud(obj, out / name)
-            lines.append(f"{name},{obj.label}")
-        (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+            entries.append((name, obj.label))
+        write_table(out / "manifest.csv", "file_path,category\n", "%s,%s\n", entries)
         print(f"wrote {len(objects)} objects + manifest.csv to {out}")
     else:
         planted = synth.make_scene(
@@ -290,9 +285,7 @@ def cmd_synth(args, cfg: RunConfig, out: Path) -> int:
             n_objects=args.objects,
         )
         save_cloud(planted.scene, out / "scene.xyz")
-        lines = ["tile_x,tile_y"]
-        lines += [f"{x},{y}" for x, y in planted.object_tiles]
-        (out / "planted_tiles.csv").write_text("\n".join(lines) + "\n")
+        write_table(out / "planted_tiles.csv", "tile_x,tile_y\n", "%d,%d\n", planted.object_tiles)
         print(f"wrote scene.xyz ({len(planted.scene)} points) to {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Core geometry types, point-cloud file I/O, and shared numeric utilities.
+"""Core geometry types, point-cloud and table file I/O, and shared numeric utilities.
 
 Everything downstream (octree, shape distributions, spin images, alignment,
 ROI, evaluation) builds on the types in this module: point clouds as (n, 3)
@@ -14,23 +14,24 @@ so concurrent use from multiple threads is safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-SAVE_BLOCK = 1024  # rows `save_cloud` formats at once: 160 KB of Python floats
-# diameters `cloud_diameter` accepts; HSD's T3 vote variances scale as
-# diameter**6, which stays a normal float over this window
+SAVE_BLOCK = 1024  # rows `write_table` formats at once: 160 KB of Python floats for xyz
+# diameters `cloud_diameter` accepts (the upper end bounds |coordinate| too, so
+# squared distances stay finite); T3 vote variances scale as diameter**6, normal here
 DIAMETER_WINDOW = (1e-40, 1e40)
 
 
 class ParseError(ValueError):
-    """Malformed point-cloud file; carries path and 1-based line number."""
+    """Malformed input file; carries path and 1-based line number."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
@@ -79,19 +80,23 @@ class PointCloud:
 def cloud_diameter(points: np.ndarray) -> float:
     """Bounding-box diagonal of (n, 3) `points` in `bbox_diagonal`'s bits,
     taken by every command of each cloud before any feature: 0.0 for one
-    repeated point, and a ValueError without a numpy warning for any other
-    diagonal outside `DIAMETER_WINDOW`, one that rounds to 0 or inf included."""
+    repeated point. A ValueError without a numpy warning refuses any other
+    diagonal outside `DIAMETER_WINDOW` (one that rounds to 0 or inf included)
+    and then any |coordinate| above the window's upper end."""
+    lo, hi = DIAMETER_WINDOW
     with np.errstate(over="ignore"):  # an extent past the float range is inf
         ext = np.ptp(points, axis=0)
-    if not ext.any():
-        return 0.0
-    lo, hi = DIAMETER_WINDOW
-    # the norm squares the largest extent, normal inside (lo / 2, 2 hi); past
-    # those ends the diagonal is outside the window and hypot names it
-    top = ext.max()
-    d = float(np.linalg.norm(ext)) if lo / 2 < top < 2 * hi else math.hypot(*ext.tolist())
-    if not lo <= d <= hi:
-        raise ValueError(f"cloud diameter {d:.9g} is outside [{lo:g}, {hi:g}]")
+    d = 0.0
+    if ext.any():
+        # the norm squares the largest extent, normal inside (lo / 2, 2 hi); past
+        # those ends the diagonal is outside the window and hypot names it
+        top = ext.max()
+        d = float(np.linalg.norm(ext)) if lo / 2 < top < 2 * hi else math.hypot(*ext.tolist())
+        if not lo <= d <= hi:
+            raise ValueError(f"cloud diameter {d:.9g} is outside [{lo:g}, {hi:g}]")
+    far = float(max(points.min(), points.max(), key=abs))
+    if abs(far) > hi:
+        raise ValueError(f"cloud coordinate {far:.9g} is outside [{-hi:g}, {hi:g}]")
     return d
 
 
@@ -271,7 +276,8 @@ def one_blas_thread():
 
 
 # ---------------------------------------------------------------------------
-# File I/O: xyz-ascii (read/write) and a ply-ascii vertex subset (read only).
+# File I/O: xyz-ascii (read/write), a ply-ascii vertex subset (read only), and
+# the one table writer behind every output file.
 # ---------------------------------------------------------------------------
 
 def _parse_xyz_line(path, line_no, line) -> Optional[tuple]:
@@ -394,10 +400,33 @@ def load_cloud(path, label: Optional[str] = None) -> PointCloud:
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
-    """Write xyz-ascii, one 'x y z' line per point, 9 significant digits,
-    formatting `SAVE_BLOCK` rows with one %-format at a time."""
-    path = Path(path)
+    """Write xyz-ascii, one 'x y z' line per point, 9 significant digits."""
+    write_table(path, "", "%.9g %.9g %.9g\n", cloud.points)
+
+
+def array_rows(a: np.ndarray):
+    """Rows of 2-D `a` as lists of Python scalars, converted a block at a time."""
+    for start in range(0, len(a), SAVE_BLOCK):
+        yield from a[start : start + SAVE_BLOCK].tolist()
+
+
+def write_table(path, header: str, line: str, rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
+    """Write `header`, then each row's cells through the %-format `line` (one
+    row's text, such as "%d,%.9g,%s\n"), `SAVE_BLOCK` rows per % operation,
+    reading `rows` a block at a time; a 2-D array's blocks convert whole."""
     with open(path, "w") as fh:
-        for start in range(0, len(cloud), SAVE_BLOCK):
-            rows = cloud.points[start : start + SAVE_BLOCK]
-            fh.write("%.9g %.9g %.9g\n" * rows.shape[0] % tuple(rows.ravel().tolist()))
+        fh.write(header)
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), SAVE_BLOCK):
+                block = rows[start : start + SAVE_BLOCK]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        else:
+            rows = iter(rows)
+            while block := list(itertools.islice(rows, SAVE_BLOCK)):
+                fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
+def write_pgm(path, gray: np.ndarray) -> None:
+    """ASCII P2 PGM of 2-D integer `gray` in [0, 255]; file row r is `gray[r]`."""
+    height, width = gray.shape
+    write_table(path, f"P2\n{width} {height}\n255\n", " ".join(["%d"] * width) + "\n", gray)

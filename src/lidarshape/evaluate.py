@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PointCloud, cloud_diameter, emd_1d, load_cloud
+from .core import ParseError, PointCloud, array_rows, cloud_diameter, emd_1d, load_cloud
+from .core import write_pgm, write_table
 from .octree import OctreeConfig, build_octree
 from .shapedist import KINDS, SDConfig, SDFeature, exact_sd, hsd, sd_ranges
 
@@ -59,7 +60,7 @@ def load_manifest(path) -> LabeledDataset:
                 continue  # optional header
             fields = line.split(",")
             if len(fields) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'file_path,category'")
+                raise ParseError(path, line_no, "expected 'file_path,category'")
             rel, cat = fields[0].strip(), fields[1].strip()
             cloud_path = Path(rel)
             if not cloud_path.is_absolute():
@@ -218,16 +219,10 @@ def group_stats(m: DistanceMatrix, ds: LabeledDataset) -> Tuple[CategoryStats, .
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: Optional[float]) -> str:
-    return UNDEFINED if v is None else f"{v:.9g}"
-
-
 def write_matrix_csv(m: DistanceMatrix, path) -> None:
     names = [f"{cat}:{i}" for cat, i in zip(m.row_categories, m.row_objects)]
-    with open(path, "w") as fh:
-        fh.write("object," + ",".join(names) + "\n")
-        for name, row in zip(names, m.values):
-            fh.write(f"{name}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+    rows = ((name, *row) for name, row in zip(names, array_rows(m.values)))
+    write_table(path, "object," + ",".join(names) + "\n", "%s" + ",%.9g" * len(names) + "\n", rows)
 
 
 def write_stats_csv(
@@ -235,17 +230,16 @@ def write_stats_csv(
 ) -> None:
     """Rows of (group_stats result, strategy, mode) flattened to one CSV line
     per category."""
-    with open(path, "w") as fh:
-        fh.write(
-            "category,within_mean,within_var,across_mean,across_var,ratio,strategy,mode\n"
-        )
+
+    def rows():
         for stats, strategy, mode in stats_rows:
             for cs in stats:
-                fh.write(
-                    f"{cs.category},{_fmt(cs.within_mean)},{_fmt(cs.within_var)},"
-                    f"{_fmt(cs.across_mean)},{_fmt(cs.across_var)},{_fmt(cs.ratio)},"
-                    f"{strategy},{mode}\n"
-                )
+                values = (cs.within_mean, cs.within_var, cs.across_mean, cs.across_var, cs.ratio)
+                text = [UNDEFINED if v is None else f"{v:.9g}" for v in values]
+                yield (cs.category, *text, strategy, mode)
+
+    header = "category,within_mean,within_var,across_mean,across_var,ratio,strategy,mode\n"
+    write_table(path, header, ",".join(["%s"] * 8) + "\n", rows())
 
 
 def write_matrix_pgm(m: DistanceMatrix, path) -> None:
@@ -256,8 +250,4 @@ def write_matrix_pgm(m: DistanceMatrix, path) -> None:
         gray = np.full(vals.shape, 255, dtype=np.int64)
     else:
         gray = np.rint(255 * (1.0 - (vals - vals.min()) / span)).astype(np.int64)
-    n = vals.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{n} {n}\n255\n")
-        for row in gray:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    write_pgm(path, gray)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud
+from .core import Histogram1D, PointCloud, write_pgm, write_table
 
 HEIGHT_BINS = 16
 HEIGHT_RANGE_MAX = 10.0  # meters; taller returns clamp into the top bin
@@ -195,17 +195,14 @@ def write_roi_csv(grid: TileGrid, features: TileFeatures, stage: np.ndarray, pat
     """CSV of every occupied tile with the last pipeline stage (an index
     into STAGES) it survived."""
     columns = zip(
-        grid.cells[:, 0].tolist(),
-        grid.cells[:, 1].tolist(),
+        *grid.cells.T.tolist(),
         *grid.centers().T.tolist(),
         features.point_count.tolist(),
         features.max_height.tolist(),
         [STAGES[s] for s in stage.tolist()],
     )
-    with open(path, "w") as fh:
-        fh.write("tile_x,tile_y,center_x,center_y,point_count,max_height,kept_by_stage\n")
-        for tx, ty, cx, cy, n, max_h, name in columns:
-            fh.write(f"{tx},{ty},{cx:.9g},{cy:.9g},{n},{max_h:.9g},{name}\n")
+    header = "tile_x,tile_y,center_x,center_y,point_count,max_height,kept_by_stage\n"
+    write_table(path, header, "%d,%d,%.9g,%.9g,%d,%.9g,%s\n", columns)
 
 
 def write_roi_pgm(grid: TileGrid, stage: np.ndarray, path) -> None:
@@ -213,7 +210,4 @@ def write_roi_pgm(grid: TileGrid, stage: np.ndarray, path) -> None:
     (empty 0, occupied 85, basic 170, refined 255). Row 0 is tile_y 0."""
     img = np.zeros((grid.height, grid.width), dtype=np.uint8)
     img[grid.cells[:, 1], grid.cells[:, 0]] = 85 * (stage + 1)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{grid.width} {grid.height}\n255\n")
-        for row in img.tolist():
-            fh.write(" ".join(map(str, row)) + "\n")
+    write_pgm(path, img)

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Histogram1D, PointCloud, cloud_diameter
+from .core import Histogram1D, PointCloud, cloud_diameter, write_table
 from .octree import OctreeNode, nodes_at_level
 
 KINDS = ("D2", "A3", "T3", "R3")
@@ -468,14 +468,15 @@ def hsd(root: OctreeNode, kind: str, level: int, cfg: SDConfig = SDConfig()) -> 
 
 def write_features_csv(features: Sequence[SDFeature], path) -> None:
     """CSV export: kind, bin_index, bin_lo, bin_hi, mass (9 significant digits)."""
-    with open(path, "w") as fh:
-        fh.write("kind,bin_index,bin_lo,bin_hi,mass\n")
+
+    def rows():
         for feat in features:
-            edges = feat.histogram.edges()
+            edges = feat.histogram.edges().tolist()
             mass = [float(f"{m:.9g}") for m in feat.histogram.mass]
             gap = float(feat.histogram.mass.sum()) - sum(mass)
             if abs(gap) > 1e-9:  # the largest bin takes up the printed masses' rounding
                 top = mass.index(max(mass))
                 mass[top] = float(f"{mass[top] + gap:.9g}")
-            for i, m in enumerate(mass):
-                fh.write(f"{feat.kind},{i},{edges[i]:.9g},{edges[i + 1]:.9g},{m:.9g}\n")
+            yield from ((feat.kind, i, edges[i], edges[i + 1], m) for i, m in enumerate(mass))
+
+    write_table(path, "kind,bin_index,bin_lo,bin_hi,mass\n", "%s,%d,%.9g,%.9g,%.9g\n", rows())

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ParseError, PointCloud, cloud_diameter, one_blas_thread
+from .core import ParseError, PointCloud, cloud_diameter, one_blas_thread, write_pgm, write_table
 
 SPIN_ROWS = 31  # beta axis, [-R, R]
 SPIN_COLS = 16  # alpha axis, [0, R]
@@ -309,10 +309,9 @@ def _kmeans_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 def save_codebook(cb: Codebook, path) -> None:
     """Header line (kind, dims, count), then the mean and each eigenvector
     as CSV rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{cb.kind},{cb.dims},{cb.basis.shape[0]}\n")
-        for row in (cb.mean, *cb.basis):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = f"{cb.kind},{cb.dims},{cb.basis.shape[0]}\n"
+    rows = [cb.mean.tolist(), *cb.basis.tolist()]  # one block: CODE_COUNT + 1 rows
+    write_table(path, header, ",".join(["%.17g"] * cb.dims) + "\n", rows)
 
 
 def load_codebook(path) -> Codebook:
@@ -348,7 +347,4 @@ def write_spin_pgm(grid: np.ndarray, path) -> None:
     pixel = highest density, row 0 = top of the beta range."""
     peak = float(grid.max())
     scaled = np.zeros(grid.shape, np.int64) if peak == 0 else np.rint(grid / peak * 255)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{SPIN_COLS} {SPIN_ROWS}\n255\n")
-        for row in scaled.astype(np.int64)[::-1]:  # beta increases upward
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    write_pgm(path, scaled.astype(np.int64)[::-1])  # beta increases upward

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import lidarshape
 import lidarshape.cli
 from lidarshape.cli import RunConfig, main
-from lidarshape.core import PointCloud, save_cloud
+from lidarshape.core import ParseError, PointCloud, save_cloud
 from lidarshape.shapedist import MAX_SAMPLE_BUDGET, SDConfig
 from lidarshape.synth import OBJECT_KINDS, make_object, make_scene
 
@@ -95,6 +95,25 @@ def test_config_rejects_bad_value(tmp_path):
     cfg_file.write_text("bins = many\n")
     with pytest.raises(ValueError, match="bad value"):
         RunConfig.load(cfg_file)
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("# note\nno equals sign\n", 2),
+        ("bins = 32\nno_such_knob = 3\n", 2),
+        ("\nbins = many\n", 2),
+        ("seed = 1\nbins = 1\n", 2),
+        ("roi_max_height = 0.1\nseed = 1\n", 1),  # checked once the file is read
+    ],
+)
+def test_config_errors_are_parse_errors_at_their_line(tmp_path, text, line_no):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    with pytest.raises(ParseError) as info:
+        RunConfig.load(cfg_file)
+    assert (info.value.path, info.value.line_no) == (str(cfg_file), line_no)
+    assert str(info.value).startswith(f"{cfg_file}:{line_no}: ")
 
 
 @pytest.mark.parametrize(
@@ -776,6 +795,22 @@ def test_every_command_refuses_a_diameter_outside_the_window_naming_its_input(
     assert err.endswith(" is outside [1e-40, 1e+40]\n"), err
 
 
+@pytest.mark.parametrize("offset", [1e154, 1e300])
+@pytest.mark.parametrize("command", sorted(HOSTILE_COMMANDS))
+def test_every_command_refuses_a_far_cloud_naming_its_input(tmp_path, capsys, command, offset):
+    # saved 1e154 away the lshape is 60 copies of one point, and squared
+    # distances between the two clouds overflow; at 1e300 so do its centroids
+    save_cloud(hostile_cloud("lshape", 60, 0, 0.0), tmp_path / "l.xyz")
+    save_cloud(hostile_cloud("lshape", 60, 0, offset), tmp_path / "far.xyz")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("l.xyz,lshape\nfar.xyz,lshape\n")
+    name, *flags = HOSTILE_COMMANDS[command]
+    target = tmp_path / "far.xyz" if name in ("features", "spin") else manifest
+    assert main([name, str(target), *flags, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {target}: cloud coordinate {offset:g} is outside [-1e+40, 1e+40]\n"
+
+
 def test_features_hsd_of_one_heavy_representative_exits_2_within_5_s(tmp_path, capsys):
     # the level-3 reps' heaviest holds 0.996 of the weight: a row of weighted
     # draws is all distinct with chance 4.7e-5 for A3 and R3 and 2.5e-7 for
@@ -794,9 +829,9 @@ _cloud_specs = st.tuples(
     st.integers(1, 48),
     # inside the diameter window, and anywhere a float scale reaches
     st.one_of(st.integers(-45, 45), st.integers(-320, 306)),
-    # positions past 1e154 overflow align's squared ICP distances (ROADMAP
-    # direction 5), so a cloud lies within its extent of one of these points
-    st.sampled_from([0.0, -7.5, 1e6]),
+    # a cloud lies within its extent of one of these points; past 1e40 the
+    # position rule refuses it before squared distances between clouds overflow
+    st.sampled_from([0.0, -7.5, 1e6, 1e154, 1e300]),
 )
 
 
@@ -812,6 +847,8 @@ _cloud_specs = st.tuples(
 @example(command="align", specs=[("lshape", 400, 300, 0.0), ("lshape", 400, 0, 0.0)])
 @example(command="spin", specs=[("lshape", 400, 300, 0.0)])
 @example(command="spin", specs=[("lshape", 400, -300, 0.0)])
+@example(command="align", specs=[("lshape", 60, 0, 0.0), ("lshape", 60, 0, 1e154)])
+@example(command="features-hsd", specs=[("lshape", 60, 0, 1e300)])
 def test_hostile_inputs_exit_0_or_2_without_a_runtime_warning_in_bounded_time(command, specs):
     name, *flags = HOSTILE_COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:

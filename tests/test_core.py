@@ -19,6 +19,7 @@ from lidarshape.core import (
     load_cloud,
     one_blas_thread,
     save_cloud,
+    write_table,
 )
 
 from _oracles import emd_lp, load_xyz_line_by_line
@@ -74,6 +75,21 @@ def test_cloud_diameter_window():
     for far in (1e308, 1.5e308):  # extents past the float range
         with pytest.raises(ValueError, match=r"cloud diameter inf is outside \[1e-40, 1e\+40\]"):
             core.cloud_diameter(np.array([[-far, 0.0, 0.0], [far, 1.0, 2.0]]))
+    # positions: |coordinate| up to the window's upper end, one repeated point included
+    assert core.cloud_diameter(np.array([[hi, -hi, 0.0], [hi, -hi, 0.0]])) == 0.0
+    near = base * 1e30 + hi / 2
+    assert core.cloud_diameter(near) == PointCloud(near).bbox_diagonal() > 1e30
+    for points, named in (
+        (np.tile([[1e154, 1e154, 1e154]], (60, 1)), "1e+154"),  # one repeated point
+        (base + [0.0, -1e300, 0.0], "-1e+300"),
+        (base * 1e30 + 2e40, "2e+40"),  # a diameter inside the window
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warnings raise
+            with pytest.raises(ValueError) as info:
+                core.cloud_diameter(points)
+        assert str(info.value).startswith(f"cloud coordinate {named}")
+        assert str(info.value).endswith(" is outside [-1e+40, 1e+40]")
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,15 +105,19 @@ def test_cloud_diameter_is_the_bbox_diagonal_inside_the_window_and_raises_outsid
     # the extents and the diagonal in Python floats: no overflow or underflow on the way
     ext = [max(col) - min(col) for col in points.T.tolist()]
     diagonal = math.hypot(*ext)
+    far = max(map(abs, points.ravel().tolist()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warnings raise
-        if not any(ext):
-            assert core.cloud_diameter(points) == 0.0
-        elif lo <= diagonal <= hi:
-            assert core.cloud_diameter(points) == PointCloud(points).bbox_diagonal()
-        else:
-            with pytest.raises(ValueError, match="is outside"):
+        if any(ext) and not lo <= diagonal <= hi:
+            with pytest.raises(ValueError, match="^cloud diameter .* is outside"):
                 core.cloud_diameter(points)
+        elif far > hi:  # the diameter is checked first, the position next
+            with pytest.raises(ValueError, match="^cloud coordinate .* is outside"):
+                core.cloud_diameter(points)
+        elif not any(ext):
+            assert core.cloud_diameter(points) == 0.0
+        else:
+            assert core.cloud_diameter(points) == PointCloud(points).bbox_diagonal()
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +280,53 @@ def test_roundtrip_bitwise_on_9_digit_text(tmp_path, monkeypatch):
         assert p1.read_bytes() == p2.read_bytes()
     assert "-0 0 4.94065646e-324\n" in per_row
     assert "1.79769313e+308 1e-300 -123456789\n" in per_row
+
+    # every writer's table: mixed int, float and str cells around each block
+    # boundary, read from a generator no more than one block ahead of the file
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.797e308, -1.797e308, 2.0**62, 0.1]
+    words = ["a", "", "NA", "x y", "-0"]
+    written = []  # rows in the file after each write
+    real_open = open
+
+    def spy_open(path, mode):
+        fh = real_open(path, mode)
+        write = fh.write
+
+        def counted(text):
+            written.append(written[-1] + text.count("\n"))
+            return write(text)
+
+        fh.write = counted
+        return fh
+
+    monkeypatch.setattr(core, "open", spy_open, raising=False)
+    for block in (1024, 7):
+        monkeypatch.setattr(core, "SAVE_BLOCK", block)
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 2):
+            cells = [
+                (i - 3, floats[i % len(floats)], words[i % len(words)], 2**62 * (-1) ** i)
+                for i in range(n)
+            ]
+
+            def rows():
+                for k, row in enumerate(cells):
+                    assert k - (written[-1] - 1) < block  # the header is line 1
+                    yield row
+
+            written[:] = [0]
+            write_table(tmp_path / "t.csv", "i,x,s,big\n", "%d,%.9g,%s,%d\n", rows())
+            text = "i,x,s,big\n" + "".join(f"{i},{x:.9g},{s},{b}\n" for i, x, s, b in cells)
+            assert (tmp_path / "t.csv").read_bytes() == text.encode()
+            assert written[-1] == n + 1
+            # a 2-D array's blocks take the same format
+            grid = np.array([(x, b) for _, x, _, b in cells], dtype=np.float64).reshape(n, 2)
+            write_table(tmp_path / "g.csv", "", "%.9g,%.9g\n", grid)
+            text = "".join(f"{x:.9g},{b:.9g}\n" for x, b in grid.tolist())
+            assert (tmp_path / "g.csv").read_text() == text
+            assert text.count("\n") == n
+    assert text.startswith("-0,4.61168602e+18\nnan,-4.61168602e+18\ninf,4.61168602e+18\n")
+    for cell in ("-inf,", "4.94065646e-324,", "\n1.797e+308,", "\n-1.797e+308,"):
+        assert cell in text
 
 
 def test_load_ply_subset(tmp_path):

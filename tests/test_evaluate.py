@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lidarshape.core import Histogram1D, PointCloud, emd_1d, save_cloud
+from lidarshape.core import Histogram1D, ParseError, PointCloud, emd_1d, save_cloud
 from lidarshape.evaluate import (
     KINDS,
     MODES,
@@ -362,6 +362,14 @@ def test_manifest_missing_file(tmp_path):
     (tmp_path / "m.csv").write_text("ghost.xyz,thing\n")
     with pytest.raises(FileNotFoundError):
         load_manifest(tmp_path / "m.csv")
+
+
+def test_manifest_bad_line_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("file_path,category\n# note\none_field\n")
+    with pytest.raises(ParseError, match="expected 'file_path,category'") as info:
+        load_manifest(path)
+    assert (info.value.path, info.value.line_no) == (str(path), 3)
 
 
 def test_matrix_exports(tmp_path):
